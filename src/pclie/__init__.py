@@ -30,7 +30,14 @@ from .lie import (
     lie_bracket,
     nlsw_decompose,
 )
-from .rules import Occurrence, Rule, SpecialBracketing, normal_s_word, special_bracket
+from .rules import (
+    InvariantError,
+    Occurrence,
+    Rule,
+    SpecialBracketing,
+    normal_s_word,
+    special_bracket,
+)
 from .gsb import (
     Ambiguity,
     GsbReport,

@@ -3,7 +3,9 @@
 Every subcommand prints deterministically (deg-lex ordering throughout)
 and supports ``--format json``.  Exit codes: 0 success / verified,
 1 mathematical failure (rule set not closed, dimension mismatch),
-2 usage error (bad flags, files, or expressions).
+2 usage error (bad flags, files, or expressions) or an input nested too
+deep for the recursive tree algorithms (for example ``bracket`` on a
+word of a few hundred letters), reported as ``error: ... too deep``.
 """
 
 from __future__ import annotations
@@ -301,6 +303,9 @@ def main(argv=None):
         return args.func(args)
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: recursion limit exceeded, the input is too deep", file=sys.stderr)
         return 2
 
 

@@ -5,14 +5,22 @@ maximum witness length, compositions are reduced with all rewrite steps
 strictly below the witness, and a rule set passes when every composition
 reduces to zero.  Completion adds monic irreducible remainders until the
 bounded check closes.
+
+Ambiguities are enumerated one ordered rule pair at a time and ordered by
+a single key, so the full enumeration, the closure check and completion
+share one code path.  Completion keeps a queue of the ambiguities still to
+check instead of starting over after each new rule: a reduction to zero
+rewrites only with rules that stay at the same index when rules are
+appended, so it stays zero and is never repeated.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .lie import LiePoly, _coeff
-from .rules import Rule, normal_s_word
+from .rules import InvariantError, Rule, normal_s_word
 from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
 
 
@@ -70,36 +78,47 @@ def _occurrences(host_ranks, sub_ranks):
     return [i for i in range(n - k + 1) if host_ranks[i : i + k] == sub_ranks]
 
 
+def _pair_ambiguities(fi, f, gi, g, max_deg):
+    """The inclusion and intersection ambiguities of the ordered rule pair
+    (f, g) with witness length at most max_deg, unsorted."""
+    ambs = []
+    fw, gw = f.leading, g.leading
+    # inclusion: g.leading inside f.leading
+    if len(fw) <= max_deg and len(gw) <= len(fw):
+        for pos in _occurrences(fw.ranks, gw.ranks):
+            if fi == gi and len(gw) == len(fw):
+                continue  # a rule inside itself at the same spot
+            a = fw[:pos]
+            b = fw[pos + len(gw) :]
+            ambs.append(Ambiguity("inclusion", fi, gi, f, g, fw, a, b))
+    # intersection: proper suffix of f.leading = proper prefix of
+    # g.leading; the glued word must itself be Lyndon-Shirshov
+    for t in range(1, min(len(fw), len(gw))):
+        if fw.ranks[len(fw) - t :] != gw.ranks[:t]:
+            continue
+        w = fw + gw[t:]
+        if len(w) > max_deg or not is_alsw(w):
+            continue
+        a = fw[: len(fw) - t]
+        b = gw[t:]
+        ambs.append(Ambiguity("intersection", fi, gi, f, g, w, a, b))
+    return ambs
+
+
+def _ambiguity_key(m):
+    """The ambiguity order: witness (deg-lex), then rule indices, kind and
+    offset.  No two ambiguities of one rule list share a key."""
+    return (deglex_key(m.w), m.f_index, m.g_index, m.kind, len(m.a))
+
+
 def find_ambiguities(rules, max_deg):
     """All inclusion and intersection ambiguities with witness length at
     most max_deg, sorted by witness (deg-lex), then rule indices."""
     ambs = []
     for fi, f in enumerate(rules):
-        fw = f.leading
         for gi, g in enumerate(rules):
-            gw = g.leading
-            # inclusion: g.leading inside f.leading
-            if len(fw) <= max_deg and len(gw) <= len(fw):
-                for pos in _occurrences(fw.ranks, gw.ranks):
-                    if fi == gi and len(gw) == len(fw):
-                        continue  # a rule inside itself at the same spot
-                    a = fw[:pos]
-                    b = fw[pos + len(gw) :]
-                    ambs.append(
-                        Ambiguity("inclusion", fi, gi, f, g, fw, a, b)
-                    )
-            # intersection: proper suffix of f.leading = proper prefix of
-            # g.leading; the glued word must itself be Lyndon-Shirshov
-            for t in range(1, min(len(fw), len(gw))):
-                if fw.ranks[len(fw) - t :] != gw.ranks[:t]:
-                    continue
-                w = fw + gw[t:]
-                if len(w) > max_deg or not is_alsw(w):
-                    continue
-                a = fw[: len(fw) - t]
-                b = gw[t:]
-                ambs.append(Ambiguity("intersection", fi, gi, f, g, w, a, b))
-    ambs.sort(key=lambda m: (deglex_key(m.w), m.f_index, m.g_index, m.kind, len(m.a)))
+            ambs.extend(_pair_ambiguities(fi, f, gi, g, max_deg))
+    ambs.sort(key=_ambiguity_key)
     return ambs
 
 
@@ -117,9 +136,10 @@ def composition(amb):
         raise ValueError(f"malformed ambiguity kind {amb.kind!r}")
     if result:
         lead, _ = result.leading()
-        assert compare_deglex(lead, amb.w) == LESS, (
-            f"composition at {amb.w} does not drop below the witness"
-        )
+        if compare_deglex(lead, amb.w) != LESS:
+            raise InvariantError(
+                f"composition at {amb.w} does not drop below the witness"
+            )
     return result
 
 
@@ -193,18 +213,37 @@ def is_gsb(rules, max_deg):
 
 
 def complete(rules, max_deg):
-    """Bounded completion: repeatedly add the monic remainder of the first
-    (in ambiguity order) non-trivial composition until the bounded check
+    """Bounded completion: add the monic remainder of the first (in
+    ambiguity order) non-trivial composition until the bounded check
     passes.  Added leading words never contain existing ones, so the loop
-    terminates within the finite set of bounded words."""
+    terminates within the finite set of bounded words.
+
+    Rather than re-enumerating and re-reducing every ambiguity after each
+    new rule, a queue keeps the ambiguities not yet shown to reduce to
+    zero, least first.  A zero remainder is final: ``reduce`` picks the
+    lowest-index matching rule and new rules are appended, so each word
+    such a reduction rewrote keeps its lowest-index match, and the trace
+    modulo any longer rule list is the same.  A non-zero remainder becomes
+    a rule; its ambiguity goes back on the queue together with those of
+    the new rule paired with every rule.  The least ambiguity with a
+    non-zero remainder is thus always the one a full recheck finds, and
+    the output is the same rule list.
+    """
     current = list(rules)
-    while True:
-        new_rule = None
-        for amb in find_ambiguities(current, max_deg):
-            rem = reduce(composition(amb), current, bound=amb.w).remainder
-            if not rem.is_zero():
-                new_rule = Rule.monic(rem)
-                break
-        if new_rule is None:
-            return current
-        current.append(new_rule)
+    # sorted by key; keys are unique, so ambiguities are never compared
+    queue = [(_ambiguity_key(m), m) for m in find_ambiguities(current, max_deg)]
+    while queue:
+        key, amb = queue.pop(0)
+        rem = reduce(composition(amb), current, bound=amb.w).remainder
+        if rem.is_zero():
+            continue
+        bisect.insort(queue, (key, amb))
+        ni, new = len(current), Rule.monic(rem)
+        current.append(new)
+        for gi, g in enumerate(current):
+            fresh = _pair_ambiguities(ni, new, gi, g, max_deg)
+            if gi != ni:
+                fresh += _pair_ambiguities(gi, g, ni, new, max_deg)
+            for m in fresh:
+                bisect.insort(queue, (_ambiguity_key(m), m))
+    return current

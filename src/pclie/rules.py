@@ -17,6 +17,12 @@ from .lie import LieTree, bracket, commutator, expand, nlsw_decompose
 from .words import Word, is_alsw, lyndon_factorize
 
 
+class InvariantError(ArithmeticError):
+    """An internal invariant of the rewriting failed: a library bug or a
+    corrupted rule, never bad user input.  Raised explicitly, so the check
+    also runs under ``python -O``."""
+
+
 class Rule:
     """A monic Lie polynomial used as a rewrite rule.
 
@@ -195,5 +201,6 @@ def normal_s_word(a, s, b):
     sb = special_bracket(occ)
     result = nlsw_decompose(sb.expand_with(s.body.to_assoc()))
     lw, lc = result.leading()
-    assert lw == w and lc == 1, f"normal s-word {w} lead check failed: {result}"
+    if lw != w or lc != 1:
+        raise InvariantError(f"normal s-word {w} lead check failed: {result}")
     return result

@@ -4,13 +4,15 @@ Everything here deliberately avoids the library's production code paths:
 word predicates work letter by letter through compare_lex only,
 factorizations are found by exhaustive cutting, dimensions come from the
 necklace-count formula, and linear algebra is plain fraction-exact
-Gaussian elimination.
+Gaussian elimination.  Completion is the one exception: its oracle is the
+plain restart-from-scratch loop over the library's own compositions and
+reduction, against which the incremental queue in ``complete`` is checked.
 """
 
 import itertools
 from fractions import Fraction
 
-from pclie import Word, compare_lex, GREATER
+from pclie import GREATER, Rule, Word, compare_lex, composition, find_ambiguities, reduce
 
 
 def all_words(alphabet, length):
@@ -160,3 +162,20 @@ def product_formula_series(dims, max_deg):
                 out[i + j2] += a * b
         coeffs = out
     return [int(c) for c in coeffs]
+
+
+def complete_by_restart(rules, max_deg):
+    """Bounded completion by restarting: after each added rule, enumerate
+    every ambiguity again and reduce them in order until the first
+    non-zero remainder, whose monic form is the next rule."""
+    current = list(rules)
+    while True:
+        new_rule = None
+        for amb in find_ambiguities(current, max_deg):
+            rem = reduce(composition(amb), current, bound=amb.w).remainder
+            if not rem.is_zero():
+                new_rule = Rule.monic(rem)
+                break
+        if new_rule is None:
+            return current
+        current.append(new_rule)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -58,6 +59,28 @@ def test_bracket_rejects_non_lyndon(capsys):
     code, _, err = run(capsys, "bracket", "--alphabet", "x > y", "yx")
     assert code == 2
     assert "error" in err
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_bracket_too_deep_exits_2(capsys):
+    # the tree algorithms recurse about once per letter.  With the default
+    # limit it takes a word of about 600 letters, and seconds of work, to
+    # get there; a lowered limit shows the same path on 151 letters
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        code, out, err = run(capsys, "bracket", "--alphabet", "x > y", "x" + "y" * 150)
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.rstrip().endswith("too deep")
 
 
 def test_nf(capsys, theta):

@@ -1,10 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 
 import pytest
 
 from pclie import (
     Alphabet,
+    InvariantError,
     LiePoly,
     Rule,
     complete,
@@ -18,10 +24,11 @@ from pclie import (
 )
 from pclie.quotient import CommGraph, generate_relations, graded_dimensions
 
-from oracles import SpanReducer, witt_count
+from oracles import SpanReducer, complete_by_restart, witt_count
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
+A4 = Alphabet.from_decl("x > y > z > w")
 
 
 def single(alphabet, text):
@@ -193,3 +200,121 @@ def test_irr_count_plus_ideal_rank_fills_each_degree():
                             continue
                         red.add(normal_s_word(a, s, b).terms)
         assert witt_count(3, deg) - red.rank == dims[deg - 1]
+
+
+def edge_rule_sets(alphabet):
+    """The rule sets {(a b) : ab an edge} of every non-empty graph on the
+    alphabet."""
+    pairs = list(itertools.combinations(alphabet.letters, 2))
+    for k in range(1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            yield [
+                Rule.monic(
+                    lie_bracket(LiePoly.letter(alphabet, a), LiePoly.letter(alphabet, b))
+                )
+                for a, b in edges
+            ]
+
+
+def rational_rule_sets(count, seed):
+    """Rules over x > y > z with two or three Lyndon-Shirshov words of
+    degree 2 or 3 and rational coefficients."""
+    rng = random.Random(seed)
+    words = [w for w in enumerate_alsw(A3, 3) if len(w) >= 2]
+    for _ in range(count):
+        rules = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {
+                w: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                for w in rng.sample(words, rng.randint(2, 3))
+            }
+            rules.append(Rule.monic(LiePoly(A3, terms)))
+        yield rules
+
+
+def test_complete_matches_restart_oracle():
+    cases = [
+        ([single(A2, "xy")], 6),
+        ([single(A3, "xy"), single(A3, "yz")], 4),
+        ([single(A3, "xy"), single(A3, "yz")], 6),
+    ]
+    for edges in itertools.chain.from_iterable(
+        itertools.combinations([("x", "y"), ("x", "z"), ("y", "z")], k)
+        for k in range(4)
+    ):
+        cases.append((generate_relations(CommGraph(A3, edges), 6), 6))
+    cases += [(rules, 6) for rules in edge_rule_sets(A4)]
+    cases += [(rules, 5) for rules in rational_rule_sets(12, 71)]
+    assert len(cases) == 3 + 8 + 63 + 12
+    added = 0
+    for rules, d in cases:
+        closed = complete(rules, d)
+        assert closed == complete_by_restart(rules, d)
+        assert closed[: len(rules)] == rules
+        added += len(closed) - len(rules)
+    assert added >= 200
+
+
+def test_zero_reduction_is_unchanged_by_an_appended_rule():
+    # the lemma behind the queue in complete: a composition that reduces to
+    # zero modulo S has the same trace modulo S + [r]; checked along the
+    # completions of the larger inputs, with r the rule completion adds next
+    checked = 0
+    sets = [(rules, 6) for rules in edge_rule_sets(A4) if len(rules) >= 4]
+    sets += [(rules, 5) for rules in rational_rule_sets(12, 71)]
+    for rules, d in sets:
+        closed = complete(rules, d)
+        for k in range(len(rules), len(closed)):
+            prefix, r = closed[:k], closed[k]
+            for amb in find_ambiguities(prefix, d):
+                comp = composition(amb)
+                tr = reduce(comp, prefix, bound=amb.w)
+                if tr.remainder.is_zero() and tr.steps:
+                    assert reduce(comp, prefix + [r], bound=amb.w).steps == tr.steps
+                    checked += 1
+    assert checked >= 500
+
+
+def test_invariant_error_is_not_a_usage_error():
+    assert issubclass(InvariantError, ArithmeticError)
+    assert not issubclass(InvariantError, ValueError)
+
+
+def test_invariant_checks_fire_under_optimize():
+    # both invariants used to be asserts, which python -O strips
+    script = textwrap.dedent(
+        """
+        import dataclasses
+        from pclie import (
+            Alphabet, InvariantError, LiePoly, Rule, composition,
+            find_ambiguities, normal_s_word,
+        )
+
+        A3 = Alphabet.from_decl("x > y > z")
+        xy = Rule(LiePoly.basis(A3.word("xy")))
+        yz = Rule(LiePoly.basis(A3.word("yz")))
+        fired = []
+
+        corrupt = Rule(LiePoly.basis(A3.word("xy")))
+        corrupt.leading = A3.word("xyy")  # no longer the body's leading word
+        try:
+            normal_s_word(A3.empty_word(), corrupt, A3.empty_word())
+        except InvariantError:
+            fired.append("normal_s_word")
+
+        amb = find_ambiguities([xy, yz], 6)[0]
+        try:
+            composition(dataclasses.replace(amb, w=A3.word("xz")))
+        except InvariantError:
+            fired.append("composition")
+        print(" ".join(fired))
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["normal_s_word", "composition"]
