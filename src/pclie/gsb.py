@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .lie import LiePoly, _coeff
+from .lie import LiePoly, _axpy
 from .rules import InvariantError, Rule, normal_s_word
 from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
 
@@ -44,7 +44,7 @@ class Ambiguity:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    rule_index: int
+    rule_index: int | None  # None for rules built on demand
     rule: Rule
     a: Word
     b: Word
@@ -143,15 +143,15 @@ def composition(amb):
     return result
 
 
-def reduce(h, rules, bound=None):
-    """Rewrite h modulo the rules until no basis word of the remainder
-    contains any rule's leading word.
+def _rewrite(h, find, bound=None):
+    """The rewrite loop behind every reduction.
 
-    Always rewrites the deg-lex greatest reducible word; among matching
-    rules the lowest index wins, then the leftmost occurrence.  Each step
-    subtracts coefficient times a normal s-word and strictly decreases
-    the word being rewritten, so the trace is finite.  With a bound given,
-    a step at or above it is an error.
+    Always rewrites the deg-lex greatest word of the work polynomial that
+    ``find`` reports reducible: ``find(w)`` returns ``(rule_index, rule,
+    position)`` of the occurrence to rewrite, or None when w stays.  Each
+    step subtracts coefficient times a normal s-word and strictly
+    decreases the word being rewritten, so the trace is finite.  With a
+    bound given, a step at or above it is an error.
     """
     work = dict(h.terms)
     done = {}
@@ -159,12 +159,7 @@ def reduce(h, rules, bound=None):
     while work:
         w0 = max(work, key=deglex_key)
         c0 = work[w0]
-        hit = None
-        for ri, r in enumerate(rules):
-            occ = _occurrences(w0.ranks, r.leading.ranks)
-            if occ:
-                hit = (ri, r, occ[0])
-                break
+        hit = find(w0)
         if hit is None:
             done[w0] = c0
             del work[w0]
@@ -174,15 +169,27 @@ def reduce(h, rules, bound=None):
             raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
         a = w0[:pos]
         b = w0[pos + len(r.leading) :]
-        nsw = normal_s_word(a, r, b)
         steps.append(ReductionStep(ri, r, a, b, c0))
-        for w2, c2 in nsw.terms.items():
-            s = work.get(w2, 0) - c0 * c2
-            if s:
-                work[w2] = _coeff(s)
-            else:
-                work.pop(w2, None)
+        _axpy(work, -c0, normal_s_word(a, r, b).terms)
     return ReductionTrace(input=h, steps=steps, remainder=LiePoly(h.alphabet, done))
+
+
+def reduce(h, rules, bound=None):
+    """Rewrite h modulo the rules until no basis word of the remainder
+    contains any rule's leading word.
+
+    Among the rules matching the greatest reducible word the lowest index
+    wins, then the leftmost occurrence; see ``_rewrite`` for the loop.
+    """
+
+    def find(w):
+        for ri, r in enumerate(rules):
+            occ = _occurrences(w.ranks, r.leading.ranks)
+            if occ:
+                return ri, r, occ[0]
+        return None
+
+    return _rewrite(h, find, bound)
 
 
 @dataclass
@@ -223,21 +230,30 @@ def complete(rules, max_deg):
     zero, least first.  A zero remainder is final: ``reduce`` picks the
     lowest-index matching rule and new rules are appended, so each word
     such a reduction rewrote keeps its lowest-index match, and the trace
-    modulo any longer rule list is the same.  A non-zero remainder becomes
-    a rule; its ambiguity goes back on the queue together with those of
-    the new rule paired with every rule.  The least ambiguity with a
-    non-zero remainder is thus always the one a full recheck finds, and
-    the output is the same rule list.
+    modulo any longer rule list is the same.  A non-zero remainder rem
+    becomes the rule r = rem / c, c its leading coefficient, and the
+    ambiguities of r paired with every rule join the queue.
+
+    The ambiguity that produced r is not checked again, since it would
+    reduce to zero.  Reduction is linear (the rewrite of a word depends on
+    the word alone), and every step taken modulo the old rules is still
+    the step taken modulo the longer list, so the new remainder is the
+    reduction of rem.  That is c times the reduction of r's body.  No old
+    rule matches a word of rem, so the leading word of r's body matches
+    only r, with empty context; that step subtracts r's own body and
+    leaves zero.
+
+    The least ambiguity with a non-zero remainder is thus always the one a
+    full recheck finds, and the output is the same rule list.
     """
     current = list(rules)
     # sorted by key; keys are unique, so ambiguities are never compared
     queue = [(_ambiguity_key(m), m) for m in find_ambiguities(current, max_deg)]
     while queue:
-        key, amb = queue.pop(0)
+        _, amb = queue.pop(0)
         rem = reduce(composition(amb), current, bound=amb.w).remainder
         if rem.is_zero():
             continue
-        bisect.insort(queue, (key, amb))
         ni, new = len(current), Rule.monic(rem)
         current.append(new)
         for gi, g in enumerate(current):

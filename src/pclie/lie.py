@@ -129,11 +129,24 @@ def is_nlsw(t):
     return True
 
 
-class AssocPoly:
-    """A polynomial in the free associative algebra: a finite mapping from
-    words to exact rational coefficients, zero coefficients absent."""
+def _axpy(dst, c, src):
+    """dst += c * src on term dicts, in place; zero coefficients dropped."""
+    for w, v in src.items():
+        s = dst.get(w, 0) + c * v
+        if s:
+            dst[w] = _coeff(s)
+        else:
+            dst.pop(w, None)
+
+
+class _Poly:
+    """Sparse exact arithmetic shared by the polynomial classes: a finite
+    mapping from words to exact rational coefficients, zero coefficients
+    absent.  Subclasses choose which words are allowed (``_check_word``)
+    and how a term's word is rendered (``_term``)."""
 
     __slots__ = ("alphabet", "terms")
+    _term = "{}"
 
     def __init__(self, alphabet, terms=()):
         data = {}
@@ -141,19 +154,26 @@ class AssocPoly:
         for w, c in items:
             if w.alphabet != alphabet:
                 raise ValueError("mixed alphabets in polynomial")
+            self._check_word(w)
             c = _coeff(c)
             if c:
                 data[w] = c
         self.alphabet = alphabet
         self.terms = data
 
+    @staticmethod
+    def _check_word(w):
+        pass
+
+    def _make(self, terms):
+        p = object.__new__(type(self))
+        p.alphabet = self.alphabet
+        p.terms = terms
+        return p
+
     @classmethod
     def zero(cls, alphabet):
         return cls(alphabet)
-
-    @classmethod
-    def monomial(cls, word, c=1):
-        return cls(word.alphabet, [(word, c)])
 
     def is_zero(self):
         return not self.terms
@@ -179,36 +199,62 @@ class AssocPoly:
             raise ValueError("the zero polynomial has no degree")
         return max(len(w) for w in self.terms)
 
-    def __add__(self, other):
+    def _combine(self, c, other):
         if self.alphabet != other.alphabet:
             raise ValueError("mixed alphabets")
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = _coeff(s)
-            else:
-                out.pop(w, None)
-        p = AssocPoly.__new__(AssocPoly)
-        p.alphabet = self.alphabet
-        p.terms = out
-        return p
+        _axpy(out, c, other.terms)
+        return self._make(out)
 
-    def __neg__(self):
-        p = AssocPoly.__new__(AssocPoly)
-        p.alphabet = self.alphabet
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
+    def __add__(self, other):
+        return self._combine(1, other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(-1, other)
+
+    def __neg__(self):
+        return self._make({w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
         c = _coeff(c)
-        p = AssocPoly.__new__(AssocPoly)
-        p.alphabet = self.alphabet
-        p.terms = {} if not c else {w: _coeff(c * v) for w, v in self.terms.items()}
-        return p
+        if not c:
+            return self._make({})
+        return self._make({w: _coeff(c * v) for w, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alphabet == other.alphabet
+            and self.terms == other.terms
+        )
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for w, c in self.items_deglex():
+            mag = abs(c)
+            term = self._term.format(w)
+            body = term if mag == 1 else f"{coeff_str(mag)} {term}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f" {'+' if c > 0 else '-'} {body}")
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class AssocPoly(_Poly):
+    """A polynomial in the free associative algebra: a finite mapping from
+    words to exact rational coefficients, zero coefficients absent."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, word, c=1):
+        return cls(word.alphabet, [(word, c)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -226,36 +272,10 @@ class AssocPoly:
                 else:
                     del out[w]
             # zero entries can only appear through cancellation above
-        p = AssocPoly.__new__(AssocPoly)
-        p.alphabet = self.alphabet
-        p.terms = {w: _coeff(c) for w, c in out.items()}
-        return p
+        return self._make({w: _coeff(c) for w, c in out.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AssocPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.items_deglex():
-            mag = abs(c)
-            body = str(w) if mag == 1 else f"{coeff_str(mag)} {w}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'+' if c > 0 else '-'} {body}")
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"AssocPoly({str(self)})"
 
 
 def commutator(p, q):
@@ -277,29 +297,17 @@ def leading_word(p):
     return p.leading()
 
 
-class LiePoly:
+class LiePoly(_Poly):
     """A Lie element in coordinates over the bracketed Lyndon-Shirshov
     basis: a finite mapping from Lyndon-Shirshov words to coefficients."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ()
+    _term = "[{}]"
 
-    def __init__(self, alphabet, terms=()):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for w, c in items:
-            if w.alphabet != alphabet:
-                raise ValueError("mixed alphabets in polynomial")
-            if not is_alsw(w):
-                raise ValueError(f"{w!r} is not a Lyndon-Shirshov word")
-            c = _coeff(c)
-            if c:
-                data[w] = c
-        self.alphabet = alphabet
-        self.terms = data
-
-    @classmethod
-    def zero(cls, alphabet):
-        return cls(alphabet)
+    @staticmethod
+    def _check_word(w):
+        if not is_alsw(w):
+            raise ValueError(f"{w!r} is not a Lyndon-Shirshov word")
 
     @classmethod
     def basis(cls, word):
@@ -309,58 +317,6 @@ class LiePoly:
     @classmethod
     def letter(cls, alphabet, symbol):
         return cls.basis(alphabet.word_of([symbol]))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def items_deglex(self, reverse=True):
-        return sorted(
-            self.terms.items(), key=lambda kv: deglex_key(kv[0]), reverse=reverse
-        )
-
-    def leading(self):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading word")
-        w = max(self.terms, key=deglex_key)
-        return w, self.terms[w]
-
-    def degree(self):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(len(w) for w in self.terms)
-
-    def _make(self, terms):
-        p = LiePoly.__new__(LiePoly)
-        p.alphabet = self.alphabet
-        p.terms = terms
-        return p
-
-    def __add__(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("mixed alphabets")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = _coeff(s)
-            else:
-                out.pop(w, None)
-        return self._make(out)
-
-    def __neg__(self):
-        return self._make({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coeff(c)
-        if not c:
-            return self._make({})
-        return self._make({w: _coeff(c * v) for w, v in self.terms.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -373,28 +329,8 @@ class LiePoly:
         """Expand into the free associative algebra."""
         out = AssocPoly.zero(self.alphabet)
         for w, c in self.terms.items():
-            out = out + expand(bracket(w)).scale(c)
+            _axpy(out.terms, c, expand(bracket(w)).terms)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiePoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.items_deglex():
-            mag = abs(c)
-            body = f"[{w}]" if mag == 1 else f"{coeff_str(mag)} [{w}]"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'+' if c > 0 else '-'} {body}")
-        return "".join(parts)
 
     def to_expr_text(self):
         """Render in the expression grammar (parseable round trip).
@@ -414,9 +350,6 @@ class LiePoly:
             else:
                 parts.append(f" {'+' if c > 0 else '-'} {body}")
         return "".join(parts)
-
-    def __repr__(self):
-        return f"LiePoly({str(self)})"
 
 
 def nlsw_decompose(p):
@@ -439,12 +372,7 @@ def nlsw_decompose(p):
                 "input is not a Lie element"
             )
         out[w] = c
-        for w2, c2 in expand(bracket(w)).terms.items():
-            s = rem.get(w2, 0) - c * c2
-            if s:
-                rem[w2] = _coeff(s)
-            else:
-                rem.pop(w2, None)
+        _axpy(rem, -c, expand(bracket(w)).terms)
     return LiePoly(p.alphabet, out)
 
 

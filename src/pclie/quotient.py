@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .lie import LiePoly, LieTree, _coeff, bracket, expand, nlsw_decompose
-from .rules import Rule, normal_s_word
+from .lie import LiePoly, LieTree, bracket, expand, nlsw_decompose
+# normal_s_word is not called here (pc_normal_form rewrites through gsb),
+# but perfbench/layers.py traces the package by wrapping this binding
+from .rules import Rule, normal_s_word  # noqa: F401
 from .words import Word, deglex_key, enumerate_alsw
 from . import gsb
 
@@ -98,34 +100,25 @@ def rhd(a, b, graph):
 
 
 def _pattern_spans(graph, ranks):
-    """All (i, j) such that ranks[i:j] has the shape x u y with x
-    dominating y and y dominating every letter of u."""
+    """Each (i, j) such that ranks[i:j] has the shape x u y with x
+    dominating y and y dominating every letter of u, by start i, then end
+    j."""
     adj = graph._adj
-    out = []
     for i in range(len(ranks) - 1):
         x = ranks[i]
         for j in range(i + 2, len(ranks) + 1):
             y = ranks[j - 1]
-            if x > y and y in adj[x] and all(
+            if y >= x:
+                break  # no span from i may contain a letter not below x
+            if y in adj[x] and all(
                 y > m and m in adj[y] for m in ranks[i + 1 : j - 1]
             ):
-                out.append((i, j))
-    return out
+                yield i, j
 
 
 def contains_pattern(graph, word):
     """Whether some contiguous factor of the word is a rule leading word."""
-    adj = graph._adj
-    ranks = word.ranks
-    for i in range(len(ranks) - 1):
-        x = ranks[i]
-        for j in range(i + 2, len(ranks) + 1):
-            y = ranks[j - 1]
-            if x > y and y in adj[x] and all(
-                y > m and m in adj[y] for m in ranks[i + 1 : j - 1]
-            ):
-                return True
-    return False
+    return next(_pattern_spans(graph, word.ranks), None) is not None
 
 
 def generate_relations(graph, max_deg):
@@ -206,39 +199,38 @@ def _pattern_rule(word):
     return Rule(LiePoly.basis(word))
 
 
+def _least_pattern(graph, w):
+    """The rewrite site of w for ``gsb._rewrite``: the deg-lex smallest
+    pattern factor, then its leftmost occurrence, or None when w is
+    pattern-free.  In the deg-lex order of ``generate_relations`` this is
+    the lowest-index rule at its leftmost occurrence, as in ``gsb.reduce``."""
+    ranks = w.ranks
+    span = min(
+        _pattern_spans(graph, ranks),
+        key=lambda ij: (ij[1] - ij[0], ranks[ij[0] : ij[1]], ij[0]),
+        default=None,
+    )
+    if span is None:
+        return None
+    i, j = span
+    return None, _pattern_rule(w[i:j]), i
+
+
 def pc_normal_form(p, graph):
     """Normal form modulo the commutation relations.
 
-    Accepts a Lie polynomial or a tree (decomposed first).  Rewrites the
-    deg-lex greatest reducible basis word, choosing the deg-lex smallest
-    pattern factor and then the leftmost occurrence; rules are built on
-    demand from the occurring patterns only.  The result is supported on
-    the pattern-free basis words.
+    Accepts a Lie polynomial or a tree (decomposed first).  Runs the
+    rewrite loop of ``gsb.reduce``: rewrites the deg-lex greatest
+    reducible basis word, choosing the deg-lex smallest pattern factor and
+    then the leftmost occurrence; rules are built on demand from the
+    occurring patterns only.  The result is supported on the
+    pattern-free basis words.
     """
     if isinstance(p, LieTree):
         p = nlsw_decompose(expand(p))
     if p.alphabet != graph.alphabet:
         raise ValueError("polynomial and graph use different alphabets")
-    work = dict(p.terms)
-    done = {}
-    while work:
-        w0 = max(work, key=deglex_key)
-        c0 = work[w0]
-        spans = _pattern_spans(graph, w0.ranks)
-        if not spans:
-            done[w0] = c0
-            del work[w0]
-            continue
-        i, j = min(spans, key=lambda ij: (ij[1] - ij[0], w0.ranks[ij[0] : ij[1]], ij[0]))
-        rule = _pattern_rule(w0[i:j])
-        nsw = normal_s_word(w0[:i], rule, w0[j:])
-        for w2, c2 in nsw.terms.items():
-            s = work.get(w2, 0) - c0 * c2
-            if s:
-                work[w2] = _coeff(s)
-            else:
-                work.pop(w2, None)
-    return LiePoly(p.alphabet, done)
+    return gsb._rewrite(p, partial(_least_pattern, graph)).remainder
 
 
 def verify_relations(graph, max_deg):

@@ -173,7 +173,7 @@ def special_bracket(occ):
         else:
             break
     if best_node is None:
-        raise AssertionError(
+        raise InvariantError(
             f"no subtree of [{u}] starts at position {p}; "
             "the containment property failed"
         )

@@ -250,16 +250,18 @@ def lyndon_factorize(u):
 
 def standard_split(u):
     """Split a Lyndon-Shirshov word at its longest proper Lyndon-Shirshov
-    suffix; both halves are again Lyndon-Shirshov words."""
+    suffix; both halves are again Lyndon-Shirshov words.
+
+    The last factor of the Lyndon-Shirshov factorization of a word is its
+    longest Lyndon-Shirshov suffix, so one factorization of u without its
+    first letter finds the split, with no test of each suffix.
+    """
     if len(u.ranks) < 2:
         raise ValueError(f"no proper split of {u!r}")
     if not is_alsw(u):
         raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
-    for i in range(1, len(u.ranks)):
-        w = u[i:]
-        if is_alsw(w):
-            return u[:i], w
-    raise AssertionError("unreachable: final letter is always a valid suffix")
+    w = lyndon_factorize(u[1:])[-1]
+    return u[: len(u) - len(w)], w
 
 
 def _mirrored_lyndon_ranks(k, max_len):

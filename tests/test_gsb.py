@@ -275,6 +275,23 @@ def test_zero_reduction_is_unchanged_by_an_appended_rule():
     assert checked >= 500
 
 
+def test_ambiguity_that_adds_a_rule_then_reduces_to_zero():
+    # complete does not re-check the ambiguity whose remainder became the
+    # new rule r: modulo the rules before it plus r, it reduces to zero
+    checked = 0
+    sets = [(rules, 6) for rules in edge_rule_sets(A4)]
+    sets += [(rules, 5) for rules in rational_rule_sets(12, 71)]
+    for rules, d in sets:
+        closed = complete(rules, d)
+        for k in range(len(rules), len(closed)):
+            amb, rem = is_gsb(closed[:k], d).failures[0]
+            assert Rule.monic(rem) == closed[k]
+            comp = composition(amb)
+            assert reduce(comp, closed[: k + 1], bound=amb.w).remainder.is_zero()
+            checked += 1
+    assert checked >= 200
+
+
 def test_invariant_error_is_not_a_usage_error():
     assert issubclass(InvariantError, ArithmeticError)
     assert not issubclass(InvariantError, ValueError)

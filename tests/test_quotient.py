@@ -16,8 +16,11 @@ from pclie import (
     is_nlsw,
     nlsw_decompose,
 )
+from pclie.gsb import _rewrite, reduce
 from pclie.quotient import (
     CommGraph,
+    _least_pattern,
+    _pattern_spans,
     assoc_hilbert_series,
     clique_polynomial,
     clique_series_dims,
@@ -34,8 +37,10 @@ from oracles import product_formula_series, witt_count
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
+A4 = Alphabet.from_decl("x > y > z > w")
 
 PAIRS3 = [("x", "y"), ("x", "z"), ("y", "z")]
+PAIRS4 = list(itertools.combinations(A4.letters, 2))
 
 
 def all_graphs(alphabet, pairs):
@@ -218,6 +223,47 @@ def test_pc_normal_form_integrality():
             p = LiePoly(A3, {w: rng.randint(-5, 5) for w in rng.sample(words, 4)})
             for c in pc_normal_form(p, g).terms.values():
                 assert isinstance(c, int)
+
+
+def test_pattern_scan_matches_the_relation_leading_words():
+    # the spans are exactly the occurrences of generate_relations' leading
+    # words, in scan order; contains_pattern stops at the first of them
+    for g in all_graphs(A4, PAIRS4):
+        leads = {r.leading.ranks for r in generate_relations(g, 5)}
+        for u in enumerate_alsw(A4, 5):
+            r = u.ranks
+            spans = list(_pattern_spans(g, r))
+            assert spans == [
+                (i, j)
+                for i in range(len(r))
+                for j in range(i + 2, len(r) + 1)
+                if r[i:j] in leads
+            ]
+            assert contains_pattern(g, u) == bool(spans)
+
+
+def test_pc_normal_form_is_reduce_modulo_the_relations():
+    # the least pattern factor is the lowest-index rule of generate_relations
+    # (deg-lex order), so both finders pick the same step at every word
+    rng = random.Random(89)
+    words = enumerate_alsw(A4, 6)
+    cases = steps = 0
+    for g in all_graphs(A4, PAIRS4):
+        if not g.edges:
+            continue
+        for _ in range(6):
+            p = LiePoly(A4, {w: rng.randint(-4, 4) for w in rng.sample(words, 3)})
+            if p.is_zero():
+                continue
+            tr = _rewrite(p, functools.partial(_least_pattern, g))
+            assert tr.check_identity()
+            assert all(st.rule_index is None for st in tr.steps)
+            expected = reduce(p, generate_relations(g, max(p.degree(), 2)))
+            assert tr.remainder == pc_normal_form(p, g) == expected.remainder
+            assert [st.word for st in tr.steps] == [st.word for st in expected.steps]
+            cases += 1
+            steps += len(tr.steps)
+    assert cases >= 350 and steps >= 800
 
 
 def test_equal_elements_share_a_normal_form():

@@ -4,7 +4,9 @@ import pytest
 
 from pclie import (
     Alphabet,
+    InvariantError,
     LiePoly,
+    LieTree,
     Occurrence,
     Rule,
     bracket,
@@ -63,6 +65,19 @@ def test_special_bracket_examples():
     assert str(sb2.tree) == "((x y) z)"
     assert sb2.tree != bracket(u)
     assert leading_word(sb2.expand()) == (u, 1)
+
+
+def test_special_bracket_containment_failure_is_an_invariant_error(monkeypatch):
+    # [x [x y]] is the bracket of xxy; ((x x) y) has no subtree starting at
+    # the occurrence of xy at position 1
+    import pclie.rules
+
+    u = A2.word("xxy")
+    x, y = (LieTree.leaf(A2, s) for s in "xy")
+    wrong = LieTree.pair(LieTree.pair(x, x), y)
+    monkeypatch.setattr(pclie.rules, "bracket", lambda w: wrong if w == u else bracket(w))
+    with pytest.raises(InvariantError, match="containment"):
+        special_bracket(Occurrence(u, A2.word("xy"), 1))
 
 
 def test_special_bracket_exhaustive_leading_word():

@@ -24,6 +24,7 @@ from oracles import (
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
+A4 = Alphabet.from_decl("x > y > z > w")
 
 
 def test_alphabet_declaration():
@@ -156,7 +157,8 @@ def test_standard_split_examples():
 
 
 def test_standard_split_properties():
-    for u in enumerate_alsw(A3, 8):
+    words = enumerate_alsw(A3, 8) + enumerate_alsw(A4, 8)
+    for u in words:
         if len(u) < 2:
             continue
         v, w = standard_split(u)
