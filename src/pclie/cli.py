@@ -11,6 +11,7 @@ word of a few hundred letters), reported as ``error: ... too deep``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -169,23 +170,22 @@ def cmd_basis(args):
     dims = basis.dimensions()
     dims_line = " ".join(f"{d+1}:{n}" for d, n in enumerate(dims))
     lines = []
-    if args.dims_only:
-        lines.append(dims_line)
-    else:
-        for degree in range(1, args.max_deg + 1):
-            for tree in basis.trees(degree):
-                lines.append(f"{degree}\t{tree.word}\t{tree}")
-        lines.append(dims_line)
     record = {
         "max_deg": args.max_deg,
         "dimensions": dims,
     }
-    if not args.dims_only:
+    # list the elements only in the format that is printed
+    if not args.dims_only and args.format == "json":
         record["elements"] = [
             {"degree": len(t.word), "word": str(t.word), "tree": str(t)}
             for level in basis.by_degree
             for t in level
         ]
+    elif not args.dims_only:
+        for degree in range(1, args.max_deg + 1):
+            for tree in basis.trees(degree):
+                lines.append(f"{degree}\t{tree.word}\t{tree}")
+    lines.append(dims_line)
     exit_code = 0
     if args.cross_check:
         oracle = clique_series_dims(graph, args.max_deg)
@@ -221,7 +221,10 @@ def cmd_complete(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later ``main``
+    calls (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="pclie",
         description=(

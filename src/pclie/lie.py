@@ -46,12 +46,13 @@ def coeff_str(c):
 class LieTree:
     """A fully bracketed word: a leaf letter or an ordered pair of trees."""
 
-    __slots__ = ("word", "left", "right", "_hash")
+    __slots__ = ("word", "left", "right", "_hash", "_text")
 
     def __init__(self, word, left, right):
         self.word = word
         self.left = left
         self.right = right
+        self._text = None
         if left is None:
             self._hash = hash(("leaf", word))
         else:
@@ -93,9 +94,14 @@ class LieTree:
         return self._hash
 
     def __str__(self):
-        if self.left is None:
-            return self.word[0]
-        return f"({self.left} {self.right})"
+        # trees are immutable and ``bracket`` shares subtrees through its
+        # cache, so each one is rendered once
+        if self._text is None:
+            if self.left is None:
+                self._text = self.word[0]
+            else:
+                self._text = f"({self.left} {self.right})"
+        return self._text
 
     def __repr__(self):
         return f"LieTree({str(self)!r})"

@@ -21,7 +21,9 @@ from .lie import LiePoly, LieTree, bracket, expand, nlsw_decompose
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import Rule, normal_s_word  # noqa: F401
-from .words import Word, deglex_key, enumerate_alsw
+# enumerate_alsw is not called here either (irr_words runs the pruned
+# generator), but perfbench/layers.py wraps this binding too
+from .words import Word, _alsw_ranks, deglex_key, enumerate_alsw  # noqa: F401
 from . import gsb
 
 
@@ -142,16 +144,41 @@ def generate_relations(graph, max_deg):
     return [Rule(nlsw_decompose(expand(bracket(w)))) for w in leads]
 
 
+def _pattern_free_test(graph):
+    """The ``may_follow`` test of ``words._alsw_ranks`` that refuses a letter
+    y completing a pattern x u y at the end of a prefix.
+
+    Walking back from y over letters m that y dominates, the first other
+    letter is the only candidate for x: the prefix ends with a pattern
+    exactly when y is dominated by it.  A prefix that ends with a pattern
+    contains it in every extension, so pruning it loses no word.
+    """
+    adj = graph._adj
+    below = [frozenset(m for m in adj[y] if m < y) for y in range(len(adj))]
+    above = [adj[y] - below[y] for y in range(len(adj))]
+
+    def may_follow(prefix, y):
+        inner = below[y]
+        for m in reversed(prefix):
+            if m not in inner:
+                return m not in above[y]
+        return True
+
+    return may_follow
+
+
 def irr_words(graph, max_deg):
     """Lyndon-Shirshov words of length <= max_deg avoiding every rule
-    leading word as a contiguous factor, deg-lex ascending."""
+    leading word as a contiguous factor, deg-lex ascending.
+
+    Generated directly: the Lyndon-Shirshov generator drops a prefix as
+    soon as it ends with a pattern, so no word containing one is built.
+    """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
-    return [
-        u
-        for u in enumerate_alsw(graph.alphabet, max_deg)
-        if not contains_pattern(graph, u)
-    ]
+    alphabet = graph.alphabet
+    ranks = _alsw_ranks(len(alphabet.letters), max_deg, _pattern_free_test(graph))
+    return [Word(alphabet, r) for r in ranks]
 
 
 @dataclass

@@ -112,11 +112,11 @@ class Word:
     __slots__ = ("alphabet", "ranks", "_hash")
 
     def __init__(self, alphabet, ranks):
-        n = len(alphabet.letters)
-        if any(not (0 <= r < n) for r in ranks):
+        t = tuple(ranks)
+        if t and (min(t) < 0 or max(t) >= len(alphabet.letters)):
             raise ValueError(f"letter rank out of range in {ranks!r}")
         self.alphabet = alphabet
-        self.ranks = tuple(ranks)
+        self.ranks = t
         self._hash = hash((alphabet.letters, self.ranks))
 
     @property
@@ -210,31 +210,14 @@ def deglex_key(u):
     return (len(u.ranks), u.ranks)
 
 
-@lru_cache(maxsize=None)
-def is_alsw(u):
-    """Whether u is a Lyndon-Shirshov word: u = vw implies vw > wv.
-
-    Under the max-first letter order these are the words strictly greater
-    than all their proper rotations.
-    """
-    r = u.ranks
-    if not r:
-        raise ValueError("the empty word is not a Lyndon-Shirshov word")
-    return all(r > r[i:] + r[:i] for i in range(1, len(r)))
-
-
-def lyndon_factorize(u):
-    """Unique factorization u = u1 u2 ... uk with each ui a Lyndon-Shirshov
-    word and u1 <= u2 <= ... <= uk lexicographically.
+def _factor_bounds(s):
+    """(start, end) of each factor of the Lyndon-Shirshov factorization of
+    the rank tuple s, left to right.
 
     Duval's algorithm run with the letter order reversed (Lyndon-Shirshov
     words here are standard Lyndon words for the mirrored order).
     """
-    s = u.ranks
     n = len(s)
-    if n == 0:
-        raise ValueError("cannot factorize the empty word")
-    out = []
     k = 0
     while k < n:
         i, j = k, k + 1
@@ -243,9 +226,31 @@ def lyndon_factorize(u):
             j += 1
         step = j - i
         while k <= i:
-            out.append(Word(u.alphabet, s[k : k + step]))
+            yield k, k + step
             k += step
-    return out
+
+
+@lru_cache(maxsize=None)
+def is_alsw(u):
+    """Whether u is a Lyndon-Shirshov word: u = vw implies vw > wv.
+
+    Under the max-first letter order these are the words strictly greater
+    than all their proper rotations, which are exactly the words whose
+    Lyndon-Shirshov factorization has a single factor.
+    """
+    r = u.ranks
+    if not r:
+        raise ValueError("the empty word is not a Lyndon-Shirshov word")
+    return next(_factor_bounds(r)) == (0, len(r))
+
+
+def lyndon_factorize(u):
+    """Unique factorization u = u1 u2 ... uk with each ui a Lyndon-Shirshov
+    word and u1 <= u2 <= ... <= uk lexicographically."""
+    s = u.ranks
+    if not s:
+        raise ValueError("cannot factorize the empty word")
+    return [Word(u.alphabet, s[a:b]) for a, b in _factor_bounds(s)]
 
 
 def standard_split(u):
@@ -256,38 +261,56 @@ def standard_split(u):
     longest Lyndon-Shirshov suffix, so one factorization of u without its
     first letter finds the split, with no test of each suffix.
     """
-    if len(u.ranks) < 2:
+    r = u.ranks
+    if len(r) < 2:
         raise ValueError(f"no proper split of {u!r}")
     if not is_alsw(u):
         raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
-    w = lyndon_factorize(u[1:])[-1]
-    return u[: len(u) - len(w)], w
+    # factor starts increase, so the largest is the last factor's
+    cut = 1 + max(a for a, _ in _factor_bounds(r[1:]))
+    return Word(u.alphabet, r[:cut]), Word(u.alphabet, r[cut:])
 
 
-def _mirrored_lyndon_ranks(k, max_len):
-    """All Lyndon-Shirshov rank tuples of length <= max_len over ranks
-    0..k-1, via the classic iterative generator on the mirrored order."""
-    # standard generator emits Lyndon words ascending for the order where
-    # 0 < 1 < ...; mirror ranks so that our largest letter plays the
-    # smallest role, then map back
-    w = [-1]
-    while w:
-        w[-1] += 1
-        yield tuple(k - 1 - c for c in w)
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == k - 1:
-            w.pop()
+def _alsw_ranks(k, max_len, may_follow=None):
+    """Rank tuples of all Lyndon-Shirshov words of length <= max_len over
+    ranks 0..k-1, deg-lex ascending.
+
+    A depth-first walk over the prenecklaces (prefixes of Lyndon-Shirshov
+    words) in the recursive form of the Fredricksen-Kessler-Maiorana
+    generator, on the mirrored order: the children of a prefix a of length
+    t with period p are the ranks r <= a[t-p]; r == a[t-p] keeps the period
+    and a smaller r makes it t+1.  A prefix whose period is its length is a
+    Lyndon-Shirshov word.  Children are visited in ascending rank, so each
+    length comes out in lexicographic order.
+
+    ``may_follow(prefix, r)``, when given, says whether rank r may be
+    appended to the prefix (a list of ranks).  A refused prefix is not
+    extended, so only the words whose every letter passed the test are
+    returned; a test for "the prefix now ends with a forbidden factor"
+    keeps exactly the words free of such factors.
+    """
+    levels = [[] for _ in range(max_len)]
+    a = []
+
+    def extend(p):
+        t = len(a)
+        if t == p:
+            levels[t - 1].append(tuple(a))
+        if t == max_len:
+            return
+        top = a[t - p] if t else k - 1
+        for r in range(top + 1):
+            if may_follow is None or may_follow(a, r):
+                a.append(r)
+                extend(p if r == top else t + 1)
+                a.pop()
+
+    extend(1)
+    return [w for level in levels for w in level]
 
 
 def enumerate_alsw(alphabet, max_deg):
     """All Lyndon-Shirshov words of length <= max_deg, deg-lex ascending."""
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
-    words = [
-        Word(alphabet, ranks)
-        for ranks in _mirrored_lyndon_ranks(len(alphabet.letters), max_deg)
-    ]
-    words.sort(key=deglex_key)
-    return words
+    return [Word(alphabet, r) for r in _alsw_ranks(len(alphabet.letters), max_deg)]

@@ -7,12 +7,25 @@ necklace-count formula, and linear algebra is plain fraction-exact
 Gaussian elimination.  Completion is the one exception: its oracle is the
 plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
+Pattern-free basis words, likewise, are checked against the screening of
+an independently generated word list with the library's pattern scan.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from pclie import GREATER, Rule, Word, compare_lex, composition, find_ambiguities, reduce
+from pclie import (
+    GREATER,
+    Rule,
+    Word,
+    compare_lex,
+    composition,
+    deglex_key,
+    find_ambiguities,
+    reduce,
+)
+from pclie.quotient import contains_pattern
 
 
 def all_words(alphabet, length):
@@ -179,3 +192,87 @@ def complete_by_restart(rules, max_deg):
         if new_rule is None:
             return current
         current.append(new_rule)
+
+
+def _mirrored_lyndon_ranks(k, max_len):
+    """All Lyndon-Shirshov rank tuples of length <= max_len over ranks
+    0..k-1: the classic iterative generator of standard Lyndon words (in
+    ascending lexicographic order), run on the mirrored ranks."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(k - 1 - c for c in w)
+        m = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == k - 1:
+            w.pop()
+
+
+def irr_words_by_screening(graph, max_deg):
+    """Pattern-free Lyndon-Shirshov words by enumerate-then-screen: every
+    Lyndon-Shirshov word up to max_deg, deg-lex ascending, kept when
+    ``contains_pattern`` finds no rule leading word in it."""
+    alphabet = graph.alphabet
+    words = [
+        Word(alphabet, r)
+        for r in _mirrored_lyndon_ranks(len(alphabet.letters), max_deg)
+    ]
+    words.sort(key=deglex_key)
+    return [u for u in words if not contains_pattern(graph, u)]
+
+
+def multidegree_series_dims(graph, max_deg):
+    """Basis dimension per multidegree (letter counts in ascending rank
+    order, total degree 1..max_deg, zero dimensions omitted), from the
+    multivariate clique polynomial of the graph alone.
+
+    The associative Hilbert series is H = 1/P with
+    P = sum over cliques C of (-1)^|C| prod_{a in C} t_a (Cartier-Foata),
+    and H = prod over multidegrees b of (1 - t^b)^(-d_b) (Poincare-
+    Birkhoff-Witt).  So log H has the coefficients
+    l_b = sum over k dividing gcd(b) of d_{b/k} / k.  With E the degree
+    operator t^b -> |b| t^b, the logarithm is taken through
+    E(log H) = E(H) / H = E(H) P, whose coefficients are e_b = |b| l_b;
+    Moebius inversion over the divisors of gcd(b) then gives
+    |b| d_b = sum over k dividing gcd(b) of mu(k) e_{b/k}.
+    """
+    n = len(graph.alphabet.letters)
+    cliques = []
+    for size in range(n + 1):
+        for c in itertools.combinations(range(n), size):
+            if all(pair in graph.edges for pair in itertools.combinations(c, 2)):
+                cliques.append(
+                    ((-1) ** size, tuple(int(a in c) for a in range(n)))
+                )
+    monomials = sorted(
+        (b for b in itertools.product(range(max_deg + 1), repeat=n) if sum(b) <= max_deg),
+        key=sum,
+    )
+
+    def below(b):
+        """(sign, b - C) for each clique monomial C dividing t^b."""
+        for sign, c in cliques:
+            rest = tuple(x - y for x, y in zip(b, c))
+            if min(rest) >= 0:
+                yield sign, rest
+
+    h = {}
+    for b in monomials:
+        # P H = 1, and P has constant term 1
+        h[b] = int(not any(b)) - sum(sign * h[r] for sign, r in below(b) if r != b)
+    e = {b: sum(sign * sum(r) * h[r] for sign, r in below(b)) for b in monomials}
+    dims = {}
+    for b in monomials[1:]:
+        g = math.gcd(*b)
+        total = sum(
+            moebius(k) * e[tuple(x // k for x in b)]
+            for k in range(1, g + 1)
+            if g % k == 0
+        )
+        d = Fraction(total, sum(b))
+        if d.denominator != 1:
+            raise ArithmeticError(f"non-integer dimension {d} at multidegree {b}")
+        if d:
+            dims[b] = int(d)
+    return dims

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pclie.cli import main
+from pclie.cli import build_parser, main
 
 STAR3 = "x > y > z\nx y\nx z\n"
 ABELIAN2 = "x > y\nx y\n"
@@ -175,3 +175,28 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["verify", "--max-deg", "4"])  # --theta missing
     assert e.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, theta):
+    path = theta("xy_yz.theta", XY_YZ)
+    calls = [
+        ["basis", "--theta", path, "--max-deg", "4", "--format", "json"],
+        ["basis", "--theta", path, "--max-deg", "4"],
+        ["basis", "--max-deg", "4"],  # --theta missing: usage error
+        ["nf", "--theta", path, "--expr", "(x (y z))"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    for argv, got in zip(calls, shared):
+        build_parser.cache_clear()
+        assert outcome(argv) == got

@@ -23,6 +23,7 @@ from oracles import SpanReducer
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
+A4 = Alphabet.from_decl("x > y > z > w")
 
 
 def leaf(al, s):
@@ -222,3 +223,15 @@ def test_rendering():
     assert str(LiePoly.zero(A3)) == "0"
     t = bracket(A3.word("xyz"))
     assert str(t) == "(x (y z))"
+
+
+def test_cached_rendering_equals_the_recursive_rendering():
+    def render(t):
+        if t.left is None:
+            return t.word[0]
+        return f"({render(t.left)} {render(t.right)})"
+
+    for u in enumerate_alsw(A3, 8) + enumerate_alsw(A4, 8):
+        t = bracket(u)
+        assert str(t) == render(t)
+        assert str(t) == render(t)  # the second call reads the cache

@@ -28,12 +28,18 @@ from pclie.quotient import (
     generate_relations,
     graded_dimensions,
     irr_basis,
+    irr_words,
     pc_normal_form,
     rhd,
     verify_relations,
 )
 
-from oracles import product_formula_series, witt_count
+from oracles import (
+    irr_words_by_screening,
+    multidegree_series_dims,
+    product_formula_series,
+    witt_count,
+)
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -124,6 +130,19 @@ def test_irr_basis_structure():
     md = basis.multidegree_dimensions()
     assert sum(md.values()) == sum(basis.dimensions())
     assert all(sum(k) <= 5 for k in md)
+
+
+def test_irr_words_equal_the_screened_enumeration():
+    # the pruned generator against enumerate-then-screen, order included
+    for g in all_graphs(A4, PAIRS4):
+        assert irr_words(g, 7) == irr_words_by_screening(g, 7), g
+    for g in all_graphs(A3, PAIRS3):
+        assert irr_words(g, 9) == irr_words_by_screening(g, 9), g
+
+
+def test_multidegree_dimensions_match_the_clique_polynomial():
+    for g in all_graphs(A4, PAIRS4):
+        assert irr_basis(g, 6).multidegree_dimensions() == multidegree_series_dims(g, 6), g
 
 
 def test_graded_dimensions_fixtures():
