@@ -27,7 +27,7 @@ from .quotient import (
     pc_normal_form,
 )
 from .rules import Rule
-from .words import Alphabet, enumerate_alsw, is_alsw, lyndon_factorize
+from .words import Alphabet, _read_decl_file, enumerate_alsw, is_alsw, lyndon_factorize
 
 
 def _poly_json(p):
@@ -46,21 +46,13 @@ def _load_rules(path):
     expression per line; each is normalized to a monic rule."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    alphabet = None
+    alphabet, lines = _read_decl_file(text, "rules")
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if alphabet is None:
-            alphabet = Alphabet.from_decl(line)
-            continue
+    for lineno, line in lines:
         poly = parse_expr(line, alphabet).to_lie_poly()
         if poly.is_zero():
             raise ValueError(f"line {lineno}: rule is zero")
         out.append(Rule.monic(poly))
-    if alphabet is None:
-        raise ValueError("rules file has no alphabet declaration")
     if not out:
         raise ValueError("rules file has no rules")
     return alphabet, out

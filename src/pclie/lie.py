@@ -111,12 +111,12 @@ class LieTree:
 def bracket(u):
     """The canonical bracketing [u] of a Lyndon-Shirshov word, recursing on
     the standard split."""
-    if len(u) == 0 or not is_alsw(u):
+    if len(u) == 0:
         raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
     if len(u) == 1:
         return LieTree(u, None, None)
-    v, w = standard_split(u)
-    return LieTree.pair(bracket(v), bracket(w))
+    v, w = standard_split(u)  # raises the same error for a non-LS word
+    return LieTree(u, bracket(v), bracket(w))
 
 
 def is_nlsw(t):

@@ -15,63 +15,55 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .lie import LiePoly, LieTree, bracket, expand, nlsw_decompose
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import Rule, normal_s_word  # noqa: F401
+from .words import Word, _alsw_ranks, _read_decl_file, deglex_key
 # enumerate_alsw is not called here either (irr_words runs the pruned
 # generator), but perfbench/layers.py wraps this binding too
-from .words import Word, _alsw_ranks, deglex_key, enumerate_alsw  # noqa: F401
+from .words import enumerate_alsw  # noqa: F401
 from . import gsb
 
 
 class CommGraph:
     """An irreflexive symmetric commutation relation on an alphabet."""
 
-    __slots__ = ("alphabet", "edges", "_adj")
+    __slots__ = ("alphabet", "edges", "_below")
 
     def __init__(self, alphabet, edges):
-        adj = [set() for _ in alphabet.letters]
         norm = set()
         for a, b in edges:
             ra, rb = alphabet.rank(a), alphabet.rank(b)
             if ra == rb:
                 raise ValueError(f"commutation relation must be irreflexive: ({a},{b})")
             norm.add((min(ra, rb), max(ra, rb)))
-            adj[ra].add(rb)
-            adj[rb].add(ra)
         self.alphabet = alphabet
         self.edges = frozenset(norm)
-        self._adj = tuple(frozenset(s) for s in adj)
+        # _below[r]: the ranks r dominates (smaller and commuting with r)
+        self._below = tuple(
+            frozenset(lo for lo, hi in norm if hi == r) for r in range(len(alphabet))
+        )
 
     @classmethod
     def parse(cls, text):
         """Parse the graph file format: first significant line an alphabet
         declaration, then one edge per line as two symbols; blank lines
         and '#' comments ignored."""
-        from .words import Alphabet
-
-        alphabet = None
+        alphabet, lines = _read_decl_file(text, "graph")
         edges = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if alphabet is None:
-                alphabet = Alphabet.from_decl(line)
-                continue
+        for lineno, line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected two letters, got {line!r}")
             edges.append((parts[0], parts[1]))
-        if alphabet is None:
-            raise ValueError("graph file has no alphabet declaration")
         return cls(alphabet, edges)
 
     def has_edge(self, a, b):
-        return self.alphabet.rank(b) in self._adj[self.alphabet.rank(a)]
+        ra, rb = self.alphabet.rank(a), self.alphabet.rank(b)
+        return (min(ra, rb), max(ra, rb)) in self.edges
 
     def edge_symbols(self):
         """Edges as letter pairs, larger letter first, sorted."""
@@ -98,29 +90,36 @@ class CommGraph:
 def rhd(a, b, graph):
     """Domination: a is greater than b and the two commute."""
     ra, rb = graph.alphabet.rank(a), graph.alphabet.rank(b)
-    return ra > rb and rb in graph._adj[ra]
+    return rb in graph._below[ra]
+
+
+def _pattern_start(below, ranks, end, y):
+    """Start of the pattern x u y that the letter y completes after
+    ranks[:end], or None.
+
+    Walking back from end over the letters that y dominates, the first
+    other letter is the only candidate for x, so at most one pattern ends
+    at each position: there is one exactly when that letter dominates y.
+    """
+    inner = below[y]
+    for i in range(end - 1, -1, -1):
+        if ranks[i] not in inner:
+            return i if y in below[ranks[i]] else None
+    return None
 
 
 def _pattern_spans(graph, ranks):
     """Each (i, j) such that ranks[i:j] has the shape x u y with x
     dominating y and y dominating every letter of u, by start i, then end
     j."""
-    adj = graph._adj
-    for i in range(len(ranks) - 1):
-        x = ranks[i]
-        for j in range(i + 2, len(ranks) + 1):
-            y = ranks[j - 1]
-            if y >= x:
-                break  # no span from i may contain a letter not below x
-            if y in adj[x] and all(
-                y > m and m in adj[y] for m in ranks[i + 1 : j - 1]
-            ):
-                yield i, j
+    below = graph._below
+    ends = [(_pattern_start(below, ranks, j, y), j + 1) for j, y in enumerate(ranks)]
+    return sorted(span for span in ends if span[0] is not None)
 
 
 def contains_pattern(graph, word):
     """Whether some contiguous factor of the word is a rule leading word."""
-    return next(_pattern_spans(graph, word.ranks), None) is not None
+    return bool(_pattern_spans(graph, word.ranks))
 
 
 def generate_relations(graph, max_deg):
@@ -130,54 +129,35 @@ def generate_relations(graph, max_deg):
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
     alphabet = graph.alphabet
-    adj = graph._adj
+    below = graph._below
     leads = []
     for x in range(len(alphabet.letters)):
-        for y in range(x):
-            if y not in adj[x]:
-                continue
-            inner = [m for m in range(y) if m in adj[y]]
+        for y in below[x]:
             for length in range(0, max_deg - 1):
-                for mid in itertools.product(inner, repeat=length):
+                for mid in itertools.product(below[y], repeat=length):
                     leads.append(Word(alphabet, (x,) + mid + (y,)))
     leads.sort(key=deglex_key)
-    return [Rule(nlsw_decompose(expand(bracket(w)))) for w in leads]
-
-
-def _pattern_free_test(graph):
-    """The ``may_follow`` test of ``words._alsw_ranks`` that refuses a letter
-    y completing a pattern x u y at the end of a prefix.
-
-    Walking back from y over letters m that y dominates, the first other
-    letter is the only candidate for x: the prefix ends with a pattern
-    exactly when y is dominated by it.  A prefix that ends with a pattern
-    contains it in every extension, so pruning it loses no word.
-    """
-    adj = graph._adj
-    below = [frozenset(m for m in adj[y] if m < y) for y in range(len(adj))]
-    above = [adj[y] - below[y] for y in range(len(adj))]
-
-    def may_follow(prefix, y):
-        inner = below[y]
-        for m in reversed(prefix):
-            if m not in inner:
-                return m not in above[y]
-        return True
-
-    return may_follow
+    return [_pattern_rule(w) for w in leads]
 
 
 def irr_words(graph, max_deg):
     """Lyndon-Shirshov words of length <= max_deg avoiding every rule
     leading word as a contiguous factor, deg-lex ascending.
 
-    Generated directly: the Lyndon-Shirshov generator drops a prefix as
-    soon as it ends with a pattern, so no word containing one is built.
+    Generated directly: the Lyndon-Shirshov generator refuses a letter
+    that completes a pattern at the end of the prefix.  A prefix that ends
+    with a pattern contains it in every extension, so no word containing
+    one is built and no pattern-free word is lost.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     alphabet = graph.alphabet
-    ranks = _alsw_ranks(len(alphabet.letters), max_deg, _pattern_free_test(graph))
+    below = graph._below
+    ranks = _alsw_ranks(
+        len(alphabet.letters),
+        max_deg,
+        lambda a, y: _pattern_start(below, a, len(a), y) is None,
+    )
     return [Word(alphabet, r) for r in ranks]
 
 
@@ -221,8 +201,9 @@ def graded_dimensions(graph, max_deg):
     return dims
 
 
-@lru_cache(maxsize=None)
 def _pattern_rule(word):
+    """The defining rule of a pattern word: the basis element [word], monic
+    because a pattern word is Lyndon-Shirshov."""
     return Rule(LiePoly.basis(word))
 
 
@@ -267,13 +248,13 @@ def verify_relations(graph, max_deg):
 
 def _cliques(graph):
     """All cliques of the commutation graph, the empty one included."""
-    adj = graph._adj
+    below = graph._below
     n = len(graph.alphabet.letters)
 
     def extend(clique, candidates):
         yield clique
         for v in list(candidates):
-            yield from extend(clique + (v,), [u for u in candidates if u > v and u in adj[v]])
+            yield from extend(clique + (v,), [u for u in candidates if v in below[u]])
 
     yield from extend((), list(range(n)))
 

@@ -106,6 +106,21 @@ class Alphabet:
         return f"Alphabet({self.decl()!r})"
 
 
+def _read_decl_file(text, kind):
+    """Read the header shared by graph and rules files: '#' starts a
+    comment, blank lines are skipped, and the first significant line
+    declares the alphabet.  Returns the alphabet and the (lineno, line)
+    pairs of the significant lines after it."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise ValueError(f"{kind} file has no alphabet declaration")
+    return Alphabet.from_decl(lines[0][1]), lines[1:]
+
+
 class Word:
     """An immutable sequence of letters from one alphabet."""
 

@@ -7,8 +7,9 @@ necklace-count formula, and linear algebra is plain fraction-exact
 Gaussian elimination.  Completion is the one exception: its oracle is the
 plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
-Pattern-free basis words, likewise, are checked against the screening of
-an independently generated word list with the library's pattern scan.
+Pattern-free basis words are found by screening an independently
+generated word list against the definition of the patterns, read off the
+graph's edges with rank comparisons only.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from pclie import (
     find_ambiguities,
     reduce,
 )
-from pclie.quotient import contains_pattern
 
 
 def all_words(alphabet, length):
@@ -209,17 +209,36 @@ def _mirrored_lyndon_ranks(k, max_len):
             w.pop()
 
 
+def pattern_spans_by_definition(graph, ranks):
+    """Each (i, j) such that ranks[i:j] is x u y with x dominating y and y
+    dominating every letter of u, by start i, then end j; a dominates b
+    when a > b and the two form an edge of the graph, that is when (b, a)
+    is one of its edges (stored smaller rank first).  A generator, so a
+    screen can stop at the first span."""
+    edges = graph.edges
+    n = len(ranks)
+    for i in range(n):
+        for j in range(i + 2, n + 1):
+            y = ranks[j - 1]
+            if (y, ranks[i]) in edges and all((m, y) in edges for m in ranks[i + 1 : j - 1]):
+                yield i, j
+
+
 def irr_words_by_screening(graph, max_deg):
     """Pattern-free Lyndon-Shirshov words by enumerate-then-screen: every
     Lyndon-Shirshov word up to max_deg, deg-lex ascending, kept when
-    ``contains_pattern`` finds no rule leading word in it."""
+    ``pattern_spans_by_definition`` finds no pattern in it."""
     alphabet = graph.alphabet
     words = [
         Word(alphabet, r)
         for r in _mirrored_lyndon_ranks(len(alphabet.letters), max_deg)
     ]
     words.sort(key=deglex_key)
-    return [u for u in words if not contains_pattern(graph, u)]
+    return [
+        u
+        for u in words
+        if next(pattern_spans_by_definition(graph, u.ranks), None) is None
+    ]
 
 
 def multidegree_series_dims(graph, max_deg):

@@ -171,6 +171,28 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("verify", "empty.theta", "# no declaration\n\n", "graph file has no alphabet declaration"),
+        ("complete", "empty.rules", "# no declaration\n", "rules file has no alphabet declaration"),
+        # the line number counts the comment and blank lines before it
+        (
+            "verify", "bad.theta", "# c\nx > y > z\n\nx y\n  # more\nx y z\n",
+            "line 6: expected two letters, got 'x y z'",
+        ),
+        ("complete", "zero.rules", "x > y\n(x y)\n(x x)\n", "line 3: rule is zero"),
+        ("complete", "none.rules", "x > y\n# none\n\n", "rules file has no rules"),
+    ],
+)
+def test_file_format_errors(capsys, theta, command, name, text, message):
+    flag = "--theta" if command == "verify" else "--rules"
+    code, out, err = run(capsys, command, flag, theta(name, text), "--max-deg", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["verify", "--max-deg", "4"])  # --theta missing

@@ -52,6 +52,8 @@ def test_bracket_examples():
     assert bracket(A2.word("xxy")) == pair(leaf(A2, "x"), pair(leaf(A2, "x"), leaf(A2, "y")))
     with pytest.raises(ValueError):
         bracket(A2.word("yx"))
+    with pytest.raises(ValueError):
+        bracket(A2.empty_word())
 
 
 def test_is_nlsw_examples():

@@ -37,6 +37,7 @@ from pclie.quotient import (
 from oracles import (
     irr_words_by_screening,
     multidegree_series_dims,
+    pattern_spans_by_definition,
     product_formula_series,
     witt_count,
 )
@@ -246,9 +247,14 @@ def test_pc_normal_form_integrality():
 
 def test_pattern_scan_matches_the_relation_leading_words():
     # the spans are exactly the occurrences of generate_relations' leading
-    # words, in scan order; contains_pattern stops at the first of them
+    # words, in scan order, and the patterns read off the edges by
+    # definition; each rule is the old bracket-expand-decompose of its word
     for g in all_graphs(A4, PAIRS4):
-        leads = {r.leading.ranks for r in generate_relations(g, 5)}
+        relations = generate_relations(g, 5)
+        for rule in relations:
+            w = rule.leading
+            assert rule.body == nlsw_decompose(expand(bracket(w)))
+        leads = {r.leading.ranks for r in relations}
         for u in enumerate_alsw(A4, 5):
             r = u.ranks
             spans = list(_pattern_spans(g, r))
@@ -258,6 +264,7 @@ def test_pattern_scan_matches_the_relation_leading_words():
                 for j in range(i + 2, len(r) + 1)
                 if r[i:j] in leads
             ]
+            assert spans == list(pattern_spans_by_definition(g, r))
             assert contains_pattern(g, u) == bool(spans)
 
 
