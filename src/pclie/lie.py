@@ -14,14 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import (
-    GREATER,
-    Word,
-    compare_lex,
-    deglex_key,
-    is_alsw,
-    standard_split,
-)
+from .words import Word, deglex_key, is_alsw, standard_split
 
 
 class NotLieElementError(ValueError):
@@ -120,19 +113,12 @@ def bracket(u):
 
 
 def is_nlsw(t):
-    """Whether a tree is the canonical bracketing of a Lyndon-Shirshov word:
-    the underlying word is one, both children are canonical, and the right
-    child of the left child does not exceed the right child."""
-    if t.left is None:
-        return True
-    if not is_alsw(t.word):
-        return False
-    if not (is_nlsw(t.left) and is_nlsw(t.right)):
-        return False
-    l = t.left
-    if l.left is not None and compare_lex(l.right.word, t.right.word) == GREATER:
-        return False
-    return True
+    """Whether a tree is the canonical bracketing of a Lyndon-Shirshov word.
+
+    The canonical bracketings are Hall trees, and a Lyndon-Shirshov word
+    has exactly one Hall tree over its letters, so a tree is canonical
+    exactly when it equals ``bracket`` of its word."""
+    return t.left is None or (is_alsw(t.word) and t == bracket(t.word))
 
 
 def _axpy(dst, c, src):
@@ -187,11 +173,9 @@ class _Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def items_deglex(self, reverse=True):
-        """Terms sorted by deg-lex, leading term first by default."""
-        return sorted(
-            self.terms.items(), key=lambda kv: deglex_key(kv[0]), reverse=reverse
-        )
+    def items_deglex(self):
+        """Terms sorted by deg-lex, leading term first."""
+        return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)
 
     def leading(self):
         """The deg-lex maximal word and its coefficient."""
@@ -398,14 +382,12 @@ def left_pair_expansion(x, u):
     leads with its own leaf word."""
     alphabet = u.alphabet
     xr = alphabet.rank(x)
-    if not is_alsw(u):
-        raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
     if any(r >= xr for r in u.ranks):
         raise ValueError(f"{x!r} must dominate every letter of {u!r}")
     if len(u) == 1:
         leaf_x = LieTree.leaf(alphabet, x)
         return [(1, LieTree.pair(leaf_x, LieTree(u, None, None)))]
-    v, w = standard_split(u)
+    v, w = standard_split(u)  # raises for a word that is not Lyndon-Shirshov
     left = left_pair_expansion(x, v)
     right = left_pair_expansion(x, w)
     bw, bv = bracket(w), bracket(v)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .lie import LiePoly, LieTree, bracket, expand, nlsw_decompose
@@ -306,20 +305,18 @@ def clique_series_dims(graph, max_deg):
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
+    c = clique_polynomial(graph)
     a = assoc_hilbert_series(graph, max_deg)
-    # k*a[k] = sum over j of j*b[j]*a[k-j] defines b = d/dt log of the series
-    b = [Fraction(0)] * (max_deg + 1)
-    for m in range(1, max_deg + 1):
-        s = Fraction(m * a[m])
-        for k in range(1, m):
-            s -= k * b[k] * a[m - k]
-        b[m] = s / m
-    e = [m * b[m] for m in range(max_deg + 1)]
+    # e[m] is the coefficient of t^m in t d/dt log(1/C) = -t C'(t) a(t)
+    e = [0] + [
+        -sum(k * c[k] * a[m - k] for k in range(1, min(m, len(c) - 1) + 1))
+        for m in range(1, max_deg + 1)
+    ]
     dims = []
     for m in range(1, max_deg + 1):
         total = sum(_moebius(m // n) * e[n] for n in range(1, m + 1) if m % n == 0)
-        d = total / m
-        if d.denominator != 1:
-            raise ArithmeticError(f"non-integer dimension {d} at degree {m}")
-        dims.append(int(d))
+        d, r = divmod(total, m)
+        if r:
+            raise ArithmeticError(f"non-integer dimension {total}/{m} at degree {m}")
+        dims.append(d)
     return dims

@@ -105,35 +105,38 @@ class SpecialBracketing:
         self.occurrence = occurrence
 
     def slot(self):
-        node = self.tree
-        for step in self.slot_path:
-            node = node.left if step == 0 else node.right
-        return node
+        return _walk(self.tree, self.slot_path)[1]
 
     def expand(self):
         return expand(self.tree)
 
     def expand_with(self, replacement):
         """Expand the tree with the slot's expansion replaced."""
-        return _expand_substituted(self.tree, self.slot_path, replacement)
+        sides, _ = _walk(self.tree, self.slot_path)
+        expanded = [(step, expand(sib)) for step, sib in sides]
+        return _fold(expanded, replacement, commutator)
 
 
-def _expand_substituted(t, path, repl):
-    if not path:
-        return repl
-    if path[0] == 0:
-        return commutator(
-            _expand_substituted(t.left, path[1:], repl), expand(t.right)
-        )
-    return commutator(expand(t.left), _expand_substituted(t.right, path[1:], repl))
+def _walk(tree, path):
+    """The (step, sibling) pairs along a path (0 = left, 1 = right), root
+    first, and the node where the path ends."""
+    sides = []
+    for step in path:
+        if step == 0:
+            sides.append((0, tree.right))
+            tree = tree.left
+        else:
+            sides.append((1, tree.left))
+            tree = tree.right
+    return sides, tree
 
 
-def _replace_subtree(node, path, new):
-    if not path:
-        return new
-    if path[0] == 0:
-        return LieTree.pair(_replace_subtree(node.left, path[1:], new), node.right)
-    return LieTree.pair(node.left, _replace_subtree(node.right, path[1:], new))
+def _fold(sides, value, pair):
+    """Rebuild a path bottom-up: combine value with each sibling, deepest
+    first, the sibling keeping its side of the pair."""
+    for step, sib in reversed(sides):
+        value = pair(value, sib) if step == 0 else pair(sib, value)
+    return value
 
 
 def special_bracket(occ):
@@ -148,45 +151,35 @@ def special_bracket(occ):
     u, v = occ.host, occ.sub
     p = occ.position
     q = p + len(v)
-    base = bracket(u)
 
-    # walk the chain of subtrees containing [p, q); remember the deepest
-    # one whose span starts exactly at p (it covers q since it contains
-    # the occurrence)
-    node, start, path = base, 0, []
-    best_path = None
-    best_node = None
-    while True:
-        if start == p:
-            best_path = tuple(path)
-            best_node = node
-        if node.left is None:
-            break
+    # descend to the smallest subtree containing [p, q), recording the
+    # sibling beside each step; by the containment property it starts
+    # exactly at p
+    node, start, sides = bracket(u), 0, []
+    while node.left is not None:
         mid = start + len(node.left.word)
         if q <= mid:
+            sides.append((0, node.right))
             node = node.left
-            path.append(0)
         elif p >= mid:
-            node = node.right
-            path.append(1)
-            start = mid
+            sides.append((1, node.left))
+            node, start = node.right, mid
         else:
             break
-    if best_node is None:
+    if start != p:
         raise InvariantError(
             f"no subtree of [{u}] starts at position {p}; "
             "the containment property failed"
         )
 
-    overhang = u[q : p + len(best_node.word)]
+    overhang = u[q : p + len(node.word)]
+    factors = lyndon_factorize(overhang) if len(overhang) else []
     new_sub = bracket(v)
-    extra = 0
-    if len(overhang):
-        for factor in lyndon_factorize(overhang):
-            new_sub = LieTree.pair(new_sub, bracket(factor))
-            extra += 1
-    tree = _replace_subtree(base, best_path, new_sub)
-    return SpecialBracketing(tree, best_path + (0,) * extra, occ)
+    for factor in factors:
+        new_sub = LieTree.pair(new_sub, bracket(factor))
+    tree = _fold(sides, new_sub, LieTree.pair)
+    path = tuple(step for step, _ in sides) + (0,) * len(factors)
+    return SpecialBracketing(tree, path, occ)
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +188,7 @@ def normal_s_word(a, s, b):
     bracketing of a.leading(s).b, which must be a Lyndon-Shirshov word.
     The result leads with that word, coefficient 1."""
     w = a + s.leading + b
-    if not is_alsw(w):
-        raise ValueError(f"{w} is not a Lyndon-Shirshov word")
-    occ = Occurrence(w, s.leading, len(a))
+    occ = Occurrence(w, s.leading, len(a))  # validates the host
     sb = special_bracket(occ)
     result = nlsw_decompose(sb.expand_with(s.body.to_assoc()))
     lw, lc = result.leading()

@@ -9,7 +9,10 @@ plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
 Pattern-free basis words are found by screening an independently
 generated word list against the definition of the patterns, read off the
-graph's edges with rank comparisons only.
+graph's edges with rank comparisons only.  The tree oracles (Shirshov's
+condition for canonical bracketings, substitution along a path by
+recursion) reuse the library's ``is_alsw``, ``expand`` and ``commutator``
+and check only the tree logic built on them.
 """
 
 import itertools
@@ -20,10 +23,13 @@ from pclie import (
     GREATER,
     Rule,
     Word,
+    commutator,
     compare_lex,
     composition,
     deglex_key,
+    expand,
     find_ambiguities,
+    is_alsw,
     reduce,
 )
 
@@ -51,6 +57,35 @@ def is_alsw_by_rotations(u):
     if not r:
         raise ValueError("empty word")
     return all(r > r[k:] + r[:k] for k in range(1, len(r)))
+
+
+def is_nlsw_by_hall_condition(t):
+    """Shirshov's condition for a canonical bracketing, by recursion: the
+    word is Lyndon-Shirshov, both children are canonical, and the right
+    child of the left child does not exceed the right child."""
+    if t.left is None:
+        return True
+    if not is_alsw(t.word):
+        return False
+    if not all(is_nlsw_by_hall_condition(c) for c in (t.left, t.right)):
+        return False
+    l = t.left
+    return l.left is None or compare_lex(l.right.word, t.right.word) != GREATER
+
+
+def expand_substituted_by_recursion(t, path, repl):
+    """Expansion of the tree t with the subtree at path (0 = left,
+    1 = right) replaced by the associative polynomial repl, descending the
+    path one recursive call per step."""
+    if not path:
+        return repl
+    if path[0] == 0:
+        return commutator(
+            expand_substituted_by_recursion(t.left, path[1:], repl), expand(t.right)
+        )
+    return commutator(
+        expand(t.left), expand_substituted_by_recursion(t.right, path[1:], repl)
+    )
 
 
 def nondecreasing_alsw_factorizations(u):

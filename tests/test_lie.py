@@ -19,7 +19,7 @@ from pclie import (
     nlsw_decompose,
 )
 
-from oracles import SpanReducer
+from oracles import SpanReducer, is_nlsw_by_hall_condition
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -71,6 +71,27 @@ def test_bracket_is_nlsw_everywhere():
     # if this fails, the prefix-greater lexicographic convention is wrong
     for u in enumerate_alsw(A3, 8):
         assert is_nlsw(bracket(u))
+
+
+def all_trees(alphabet, max_deg):
+    """Every binary tree with leaves from the alphabet, up to max_deg leaves."""
+    by_deg = {1: [LieTree.leaf(alphabet, s) for s in alphabet.letters]}
+    for n in range(2, max_deg + 1):
+        by_deg[n] = [
+            pair(l, r) for i in range(1, n) for l in by_deg[i] for r in by_deg[n - i]
+        ]
+    return [t for n in range(1, max_deg + 1) for t in by_deg[n]]
+
+
+def test_is_nlsw_matches_the_hall_condition():
+    trees = all_trees(A2, 7) + all_trees(A3, 5)
+    canonical = 0
+    for t in trees:
+        got = is_nlsw(t)
+        assert got == is_nlsw_by_hall_condition(t), str(t)
+        canonical += got
+    # the canonical trees are the brackets of the Lyndon-Shirshov words
+    assert canonical == len(enumerate_alsw(A2, 7)) + len(enumerate_alsw(A3, 5))
 
 
 def test_expand_examples():

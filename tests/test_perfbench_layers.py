@@ -31,3 +31,26 @@ def test_traced_names_resolve_on_the_package():
         assert meth in cls.__dict__, f"{mod}.{cls_name}.{meth}"
     for mod, attr, _ in layers.CACHES:
         assert hasattr(getattr(pclie_module(mod), attr), "cache_info"), f"{mod}.{attr}"
+
+
+def test_normal_s_word_calls_special_bracket_through_the_module_global(monkeypatch):
+    # the tracer counts rules.special_bracket.calls by replacing this global
+    # with a one-argument wrapper; an inlined or renamed call would read 0
+    import pclie.rules as rules
+    from pclie import Alphabet, LiePoly, Occurrence, Rule
+
+    seen = []
+    real = rules.special_bracket
+
+    def counting(occ):
+        seen.append(occ)
+        return real(occ)
+
+    monkeypatch.setattr(rules, "special_bracket", counting)
+    al = Alphabet.from_decl("x > y")
+    s = Rule(LiePoly.basis(al.word("xy")))
+    # uncached, so an earlier call with the same arguments cannot hide it
+    rules.normal_s_word.__wrapped__(al.word("x"), s, al.word("y"))
+    assert len(seen) == 1
+    assert isinstance(seen[0], Occurrence)
+    assert seen[0] == Occurrence(al.word("xxyy"), al.word("xy"), 1)

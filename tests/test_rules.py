@@ -4,6 +4,7 @@ import pytest
 
 from pclie import (
     Alphabet,
+    AssocPoly,
     InvariantError,
     LiePoly,
     LieTree,
@@ -11,6 +12,7 @@ from pclie import (
     Rule,
     bracket,
     enumerate_alsw,
+    expand,
     is_alsw,
     leading_word,
     lie_bracket,
@@ -19,7 +21,7 @@ from pclie import (
 )
 from pclie.quotient import CommGraph, generate_relations
 
-from oracles import in_span
+from oracles import expand_substituted_by_recursion, in_span
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -91,6 +93,11 @@ def test_special_bracket_exhaustive_leading_word():
                 sb = special_bracket(Occurrence(u, v, i))
                 assert leading_word(sb.expand()) == (u, 1)
                 assert sb.slot() == bracket(v)
+                assert sb.expand_with(expand(sb.slot())) == sb.expand()
+                repl = AssocPoly.monomial(v)
+                assert sb.expand_with(repl) == expand_substituted_by_recursion(
+                    sb.tree, sb.slot_path, repl
+                )
                 if sb.tree != bracket(u):
                     rebracketed += 1
     # plenty of occurrences genuinely change the tree shape
@@ -115,7 +122,7 @@ def test_normal_s_word_examples():
 
 def test_normal_s_word_requires_lyndon_shirshov_host():
     s = Rule(LiePoly.basis(A2.word("xy")))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="host .* is not a Lyndon-Shirshov word"):
         normal_s_word(A2.word("y"), s, A2.empty_word())  # yxy is not one
 
 
