@@ -29,7 +29,9 @@ from .lie import (
     left_pair_expansion,
     lie_bracket,
     nlsw_decompose,
+    tree_value,
 )
+from .lie import _bracket_ranks  # emptied by clear_caches
 from .rules import (
     InvariantError,
     Occurrence,
@@ -66,3 +68,11 @@ from .quotient import (
 from .expr import ExprAst, ParseError, parse_expr
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every module-level cache: the Lyndon-Shirshov test, canonical
+    brackets, associative expansions, the basis bracket table and normal
+    s-words.  Results do not change; only memory is given back."""
+    for cached in (is_alsw, bracket, expand, _bracket_ranks, normal_s_word):
+        cached.cache_clear()

@@ -17,7 +17,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import LiePoly, LieTree, expand, nlsw_decompose
+from .lie import LiePoly, LieTree, tree_value
+# expand and nlsw_decompose are not called here (to_lie_poly brackets in the
+# Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
+from .lie import expand, nlsw_decompose  # noqa: F401
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/]))")
 
@@ -61,7 +64,7 @@ class ExprAst:
     def to_lie_poly(self):
         out = LiePoly.zero(self.alphabet)
         for c, tree in self.parts:
-            out = out + nlsw_decompose(expand(tree)).scale(c)
+            out = out + tree_value(tree).scale(c)
         return out
 
 

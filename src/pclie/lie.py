@@ -2,11 +2,17 @@
 
 Elements of the free Lie algebra are kept in coordinates over the
 canonical basis of bracketed Lyndon-Shirshov words, with exact rational
-coefficients (plain ints whenever possible).  Expansion into the free
-associative algebra realizes the bracket as (ab) = ab - ba; the leading
-associative word of a bracketed Lyndon-Shirshov word is the word itself
-with coefficient 1, which is what makes the greedy triangular
-decomposition below work.
+coefficients (plain ints whenever possible).  Two basis elements are
+bracketed in those coordinates directly, by the classic recursion on
+standard splits (``_bracket_ranks``), and every Lie product in the
+engine is that bracket extended bilinearly.
+
+Expansion into the free associative algebra realizes the bracket as
+(ab) = ab - ba; the leading associative word of a bracketed
+Lyndon-Shirshov word is the word itself with coefficient 1, so
+``nlsw_decompose`` can read coordinates back off an associative
+polynomial by greedy triangular decomposition.  The engine does not use
+that path; it stays as the independent check of the bracket.
 """
 
 from __future__ import annotations
@@ -14,7 +20,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import Word, deglex_key, is_alsw, standard_split
+from .words import (
+    GREATER,
+    LESS,
+    Word,
+    _compare_ranks,
+    _standard_cut,
+    deglex_key,
+    is_alsw,
+    standard_split,
+)
 
 
 class NotLieElementError(ValueError):
@@ -366,11 +381,74 @@ def nlsw_decompose(p):
     return LiePoly(p.alphabet, out)
 
 
+@lru_cache(maxsize=None)
+def _bracket_ranks(u, v):
+    """The bracket of the basis elements [u] and [v], for Lyndon-Shirshov
+    rank tuples u and v, as a dict from rank tuple to integer coefficient.
+    The dict is shared through the cache and must not be changed.
+
+    For u > v with standard split u = u1 u2, [u][v] is the basis element
+    [uv] when u is a letter or u2 <= v: then uv is Lyndon-Shirshov and its
+    standard split is (u, v).  Otherwise the Jacobi identity gives
+    [u][v] = [u1][[u2][v]] + [[u1][v]][u2], and the recursion goes on
+    (Reutenauer, Free Lie Algebras, 1993, sections 4-5)."""
+    if u == v:
+        return {}
+    if _compare_ranks(u, v) == LESS:
+        return {w: -c for w, c in _bracket_ranks(v, u).items()}
+    if len(u) == 1:
+        return {u + v: 1}
+    cut = _standard_cut(u)
+    u1, u2 = u[:cut], u[cut:]
+    if _compare_ranks(u2, v) != GREATER:
+        return {u + v: 1}
+    out = {}
+    for w, c in _bracket_ranks(u2, v).items():
+        _axpy(out, c, _bracket_ranks(u1, w))
+    for w, c in _bracket_ranks(u1, v).items():
+        _axpy(out, c, _bracket_ranks(w, u2))
+    return out
+
+
+def _bracket_terms(p, q):
+    """The bracket of two elements given as term dicts over rank tuples,
+    extended bilinearly from ``_bracket_ranks``."""
+    out = {}
+    for u, a in p.items():
+        for v, b in q.items():
+            _axpy(out, a * b, _bracket_ranks(u, v))
+    return out
+
+
+def _rank_terms(p):
+    """The terms of a Lie polynomial keyed by rank tuples."""
+    return {w.ranks: c for w, c in p.terms.items()}
+
+
+def _from_rank_terms(alphabet, terms):
+    """The Lie polynomial with the given terms over rank tuples; each word
+    is checked to be Lyndon-Shirshov."""
+    return LiePoly(alphabet, {Word(alphabet, r): c for r, c in terms.items()})
+
+
+def _tree_terms(t):
+    if t.left is None:
+        return {t.word.ranks: 1}
+    return _bracket_terms(_tree_terms(t.left), _tree_terms(t.right))
+
+
+def tree_value(t):
+    """The Lie element a bracketed word denotes, in basis coordinates: a
+    leaf is its letter, and a pair is the bracket of its children's
+    values."""
+    return _from_rank_terms(t.word.alphabet, _tree_terms(t))
+
+
 def lie_bracket(p, q):
     """Lie bracket of two elements in basis coordinates."""
     if p.alphabet != q.alphabet:
         raise ValueError("mixed alphabets")
-    return nlsw_decompose(commutator(p.to_assoc(), q.to_assoc()))
+    return _from_rank_terms(p.alphabet, _bracket_terms(_rank_terms(p), _rank_terms(q)))
 
 
 def left_pair_expansion(x, u):

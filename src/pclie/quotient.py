@@ -16,7 +16,10 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .lie import LiePoly, LieTree, bracket, expand, nlsw_decompose
+from .lie import LiePoly, LieTree, bracket, tree_value
+# expand and nlsw_decompose are not called here (a tree is evaluated in the
+# Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
+from .lie import expand, nlsw_decompose  # noqa: F401
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import Rule, normal_s_word  # noqa: F401
@@ -226,7 +229,7 @@ def _least_pattern(graph, w):
 def pc_normal_form(p, graph):
     """Normal form modulo the commutation relations.
 
-    Accepts a Lie polynomial or a tree (decomposed first).  Runs the
+    Accepts a Lie polynomial or a tree (evaluated first).  Runs the
     rewrite loop of ``gsb.reduce``: rewrites the deg-lex greatest
     reducible basis word, choosing the deg-lex smallest pattern factor and
     then the leftmost occurrence; rules are built on demand from the
@@ -234,7 +237,7 @@ def pc_normal_form(p, graph):
     pattern-free basis words.
     """
     if isinstance(p, LieTree):
-        p = nlsw_decompose(expand(p))
+        p = tree_value(p)
     if p.alphabet != graph.alphabet:
         raise ValueError("polynomial and graph use different alphabets")
     return gsb._rewrite(p, partial(_least_pattern, graph)).remainder

@@ -5,6 +5,9 @@ word.  Rewriting a larger word around an occurrence of that leading word
 needs a bracketing of the host that isolates the occurrence; the special
 bracketing below provides it, and substituting the rule body into the
 isolated slot yields the normal s-word whose leading word is the host.
+The substitution is evaluated in the Lyndon-Shirshov basis: the body is
+bracketed with each sibling along the slot path in turn, deepest first,
+and every sibling is a canonical bracket, so a single basis element.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import LieTree, bracket, commutator, expand, nlsw_decompose
+from .lie import LieTree, _bracket_terms, _from_rank_terms, _rank_terms, bracket, expand
+# commutator and nlsw_decompose are not called here (normal_s_word brackets
+# in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
+from .lie import commutator, nlsw_decompose  # noqa: F401
 from .words import Word, is_alsw, lyndon_factorize
 
 
@@ -93,8 +99,9 @@ class SpecialBracketing:
 
     ``tree`` carries the bracket of the subword as the subtree at
     ``slot_path`` (0 = left, 1 = right); the expansion of the whole tree
-    still leads with the host word, coefficient 1.  Substituting an
-    associative polynomial for the slot gives the multilinear evaluation.
+    still leads with the host word, coefficient 1.  Substituting a Lie
+    polynomial for the slot and bracketing back up the path gives the
+    multilinear evaluation (``normal_s_word``).
     """
 
     __slots__ = ("tree", "slot_path", "occurrence")
@@ -109,12 +116,6 @@ class SpecialBracketing:
 
     def expand(self):
         return expand(self.tree)
-
-    def expand_with(self, replacement):
-        """Expand the tree with the slot's expansion replaced."""
-        sides, _ = _walk(self.tree, self.slot_path)
-        expanded = [(step, expand(sib)) for step, sib in sides]
-        return _fold(expanded, replacement, commutator)
 
 
 def _walk(tree, path):
@@ -190,7 +191,11 @@ def normal_s_word(a, s, b):
     w = a + s.leading + b
     occ = Occurrence(w, s.leading, len(a))  # validates the host
     sb = special_bracket(occ)
-    result = nlsw_decompose(sb.expand_with(s.body.to_assoc()))
+    sides, _ = _walk(sb.tree, sb.slot_path)
+    # each sibling off the slot path is a canonical bracket: one basis element
+    basis_sides = [(step, {sib.word.ranks: 1}) for step, sib in sides]
+    terms = _fold(basis_sides, _rank_terms(s.body), _bracket_terms)
+    result = _from_rank_terms(w.alphabet, terms)
     lw, lc = result.leading()
     if lw != w or lc != 1:
         raise InvariantError(f"normal s-word {w} lead check failed: {result}")

@@ -201,12 +201,17 @@ def compare_lex(u, v):
     Returns -1, 0 or 1 (LESS, EQUAL, GREATER).
     """
     _check_same_alphabet(u, v)
-    for a, b in zip(u.ranks, v.ranks):
+    return _compare_ranks(u.ranks, v.ranks)
+
+
+def _compare_ranks(r, s):
+    """``compare_lex`` on rank tuples."""
+    for a, b in zip(r, s):
         if a != b:
             return GREATER if a > b else LESS
-    if len(u.ranks) == len(v.ranks):
+    if len(r) == len(s):
         return EQUAL
-    return GREATER if len(u.ranks) < len(v.ranks) else LESS
+    return GREATER if len(r) < len(s) else LESS
 
 
 def compare_deglex(u, v):
@@ -281,9 +286,15 @@ def standard_split(u):
         raise ValueError(f"no proper split of {u!r}")
     if not is_alsw(u):
         raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
-    # factor starts increase, so the largest is the last factor's
-    cut = 1 + max(a for a, _ in _factor_bounds(r[1:]))
+    cut = _standard_cut(r)
     return Word(u.alphabet, r[:cut]), Word(u.alphabet, r[cut:])
+
+
+def _standard_cut(r):
+    """Where the standard split cuts the Lyndon-Shirshov rank tuple r, of
+    length at least 2."""
+    # factor starts increase, so the largest is the last factor's
+    return 1 + max(a for a, _ in _factor_bounds(r[1:]))
 
 
 def _alsw_ranks(k, max_len, may_follow=None):

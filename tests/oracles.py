@@ -13,6 +13,13 @@ graph's edges with rank comparisons only.  The tree oracles (Shirshov's
 condition for canonical bracketings, substitution along a path by
 recursion) reuse the library's ``is_alsw``, ``expand`` and ``commutator``
 and check only the tree logic built on them.
+
+The Lie arithmetic of the engine brackets in the Lyndon-Shirshov basis
+directly.  Its oracles take the associative route instead: expand into
+the free associative algebra, multiply there, and read coordinates back
+with ``nlsw_decompose`` (``lie_bracket_by_expansion``,
+``tree_value_by_expansion``, and ``normal_s_word_by_expansion`` through
+``expand_with``, the substituted expansion of a special bracketing).
 """
 
 import itertools
@@ -21,6 +28,7 @@ from fractions import Fraction
 
 from pclie import (
     GREATER,
+    Occurrence,
     Rule,
     Word,
     commutator,
@@ -30,8 +38,11 @@ from pclie import (
     expand,
     find_ambiguities,
     is_alsw,
+    nlsw_decompose,
     reduce,
+    special_bracket,
 )
+from pclie.rules import _fold, _walk
 
 
 def all_words(alphabet, length):
@@ -86,6 +97,32 @@ def expand_substituted_by_recursion(t, path, repl):
     return commutator(
         expand(t.left), expand_substituted_by_recursion(t.right, path[1:], repl)
     )
+
+
+def expand_with(sb, replacement):
+    """The expansion of a special bracketing's tree with the slot's
+    expansion replaced by the associative polynomial replacement: a fold
+    of ``commutator`` over the expanded siblings of the slot path."""
+    sides, _ = _walk(sb.tree, sb.slot_path)
+    expanded = [(step, expand(sib)) for step, sib in sides]
+    return _fold(expanded, replacement, commutator)
+
+
+def normal_s_word_by_expansion(a, s, b):
+    """The normal s-word (a s b) through the free associative algebra:
+    the substituted expansion of the special bracketing, decomposed."""
+    occ = Occurrence(a + s.leading + b, s.leading, len(a))
+    return nlsw_decompose(expand_with(special_bracket(occ), s.body.to_assoc()))
+
+
+def lie_bracket_by_expansion(p, q):
+    """The Lie bracket as the decomposed commutator of the expansions."""
+    return nlsw_decompose(commutator(p.to_assoc(), q.to_assoc()))
+
+
+def tree_value_by_expansion(t):
+    """The coordinates of a tree read off its associative expansion."""
+    return nlsw_decompose(expand(t))
 
 
 def nondecreasing_alsw_factorizations(u):

@@ -222,3 +222,29 @@ def test_main_reuses_one_parser(capsys, theta):
     for argv, got in zip(calls, shared):
         build_parser.cache_clear()
         assert outcome(argv) == got
+
+
+def test_clear_caches_empties_every_cache(capsys, theta):
+    # every lru_cache of the algebra modules; the parser cache of cli holds
+    # no results and stays
+    import importlib
+
+    import pclie
+
+    caches = [
+        obj
+        for name in ("words", "lie", "rules", "gsb", "quotient", "expr")
+        for obj in vars(importlib.import_module(f"pclie.{name}")).values()
+        if hasattr(obj, "cache_info")
+    ]
+    assert len(set(map(id, caches))) == 5
+    path = theta("xy_yz.theta", XY_YZ)
+    argv = ["verify", "--theta", path, "--max-deg", "6", "--format", "json"]
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    # verify no longer expands; fill that cache by hand
+    pclie.expand(pclie.bracket(pclie.Alphabet.from_decl("x > y").word("xy")))
+    assert all(c.cache_info().currsize for c in caches)
+    pclie.clear_caches()
+    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+    assert run(capsys, *argv) == (0, first, "")

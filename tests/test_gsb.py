@@ -24,7 +24,12 @@ from pclie import (
 )
 from pclie.quotient import CommGraph, generate_relations, graded_dimensions
 
-from oracles import SpanReducer, complete_by_restart, witt_count
+from oracles import (
+    SpanReducer,
+    complete_by_restart,
+    normal_s_word_by_expansion,
+    witt_count,
+)
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -232,7 +237,10 @@ def rational_rule_sets(count, seed):
         yield rules
 
 
-def test_complete_matches_restart_oracle():
+def completion_cases():
+    """(rules, max_deg) inputs of the completion checks: small examples,
+    the graphs on x > y > z, the edge-relation sets on x > y > z > w and
+    rational rule sets on x > y > z."""
     cases = [
         ([single(A2, "xy")], 6),
         ([single(A3, "xy"), single(A3, "yz")], 4),
@@ -245,6 +253,11 @@ def test_complete_matches_restart_oracle():
         cases.append((generate_relations(CommGraph(A3, edges), 6), 6))
     cases += [(rules, 6) for rules in edge_rule_sets(A4)]
     cases += [(rules, 5) for rules in rational_rule_sets(12, 71)]
+    return cases
+
+
+def test_complete_matches_restart_oracle():
+    cases = completion_cases()
     assert len(cases) == 3 + 8 + 63 + 12
     added = 0
     for rules, d in cases:
@@ -253,6 +266,38 @@ def test_complete_matches_restart_oracle():
         assert closed[: len(rules)] == rules
         added += len(closed) - len(rules)
     assert added >= 200
+
+
+def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
+    # every normal s-word the engine builds in the closure sweep and in the
+    # completions, against the substituted associative expansion
+    import pclie.gsb as gsb
+
+    calls = {}
+    real = gsb.normal_s_word
+
+    def recording(a, s, b):
+        calls[a, s, b] = result = real(a, s, b)
+        return result
+
+    monkeypatch.setattr(gsb, "normal_s_word", recording)
+    pairs = list(itertools.combinations(A4.letters, 2))
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            is_gsb(generate_relations(CommGraph(A4, edges), 6), 6)
+    reference = CommGraph(A4, [("x", "y"), ("x", "z"), ("y", "z"), ("z", "w")])
+    is_gsb(generate_relations(reference, 9), 9)
+    closure_calls = len(calls)
+    rational = 0
+    for rules, d in completion_cases():
+        before = len(calls)
+        complete(rules, d)
+        if any(isinstance(c, Fraction) for r in rules for c in r.body.terms.values()):
+            rational += len(calls) - before
+    for (a, s, b), result in calls.items():
+        assert result == normal_s_word_by_expansion(a, s, b), (a, s, b)
+    assert closure_calls >= 700
+    assert len(calls) - closure_calls >= 120 and rational >= 100
 
 
 def test_zero_reduction_is_unchanged_by_an_appended_rule():

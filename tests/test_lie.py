@@ -19,7 +19,7 @@ from pclie import (
     nlsw_decompose,
 )
 
-from oracles import SpanReducer, is_nlsw_by_hall_condition
+from oracles import SpanReducer, is_nlsw_by_hall_condition, lie_bracket_by_expansion
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -189,6 +189,22 @@ def test_lie_bracket_antisymmetry_and_jacobi():
             + lie_bracket(lie_bracket(r, p), q)
         )
         assert jac.is_zero()
+
+
+def test_basis_bracket_matches_the_expansion_exhaustively():
+    # every ordered pair of Lyndon-Shirshov words on x > y > z of total
+    # length <= 8 (the recursion on standard splits goes four levels deep
+    # there), against the decomposed commutator of the expansions
+    words = enumerate_alsw(A3, 7)
+    checked = 0
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > 8:
+                continue
+            p, q = LiePoly.basis(u), LiePoly.basis(v)
+            assert lie_bracket(p, q) == lie_bracket_by_expansion(p, q), (u, v)
+            checked += 1
+    assert checked == 5632
 
 
 def test_integrality_closure():

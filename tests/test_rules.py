@@ -21,7 +21,7 @@ from pclie import (
 )
 from pclie.quotient import CommGraph, generate_relations
 
-from oracles import expand_substituted_by_recursion, in_span
+from oracles import expand_substituted_by_recursion, expand_with, in_span
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -93,9 +93,9 @@ def test_special_bracket_exhaustive_leading_word():
                 sb = special_bracket(Occurrence(u, v, i))
                 assert leading_word(sb.expand()) == (u, 1)
                 assert sb.slot() == bracket(v)
-                assert sb.expand_with(expand(sb.slot())) == sb.expand()
+                assert expand_with(sb, expand(sb.slot())) == sb.expand()
                 repl = AssocPoly.monomial(v)
-                assert sb.expand_with(repl) == expand_substituted_by_recursion(
+                assert expand_with(sb, repl) == expand_substituted_by_recursion(
                     sb.tree, sb.slot_path, repl
                 )
                 if sb.tree != bracket(u):
