@@ -23,6 +23,7 @@ from .quotient import (
     assoc_hilbert_series,
     clique_series_dims,
     generate_relations,
+    graded_dimensions,
     irr_basis,
     pc_normal_form,
 )
@@ -61,9 +62,8 @@ def _load_rules(path):
 def _emit(args, text_lines, record):
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:
+        print("\n".join(text_lines))
 
 
 def cmd_alsw(args):
@@ -158,26 +158,27 @@ def cmd_verify(args):
 
 def cmd_basis(args):
     graph = _load_graph(args.theta)
-    basis = irr_basis(graph, args.max_deg)
-    dims = basis.dimensions()
-    dims_line = " ".join(f"{d+1}:{n}" for d, n in enumerate(dims))
     lines = []
-    record = {
-        "max_deg": args.max_deg,
-        "dimensions": dims,
-    }
-    # list the elements only in the format that is printed
-    if not args.dims_only and args.format == "json":
-        record["elements"] = [
-            {"degree": len(t.word), "word": str(t.word), "tree": str(t)}
-            for level in basis.by_degree
-            for t in level
-        ]
-    elif not args.dims_only:
-        for degree in range(1, args.max_deg + 1):
-            for tree in basis.trees(degree):
-                lines.append(f"{degree}\t{tree.word}\t{tree}")
-    lines.append(dims_line)
+    record = {"max_deg": args.max_deg}
+    if args.dims_only:
+        # the trees are never printed, so only the words are counted
+        dims = graded_dimensions(graph, args.max_deg)
+    else:
+        basis = irr_basis(graph, args.max_deg)
+        dims = basis.dimensions()
+        # list the elements only in the format that is printed
+        if args.format == "json":
+            record["elements"] = [
+                {"degree": len(t.word), "word": str(t.word), "tree": str(t)}
+                for level in basis.by_degree
+                for t in level
+            ]
+        else:
+            for degree in range(1, args.max_deg + 1):
+                for tree in basis.trees(degree):
+                    lines.append(f"{degree}\t{tree.word}\t{tree}")
+    record["dimensions"] = dims
+    lines.append(" ".join(f"{d+1}:{n}" for d, n in enumerate(dims)))
     exit_code = 0
     if args.cross_check:
         oracle = clique_series_dims(graph, args.max_deg)

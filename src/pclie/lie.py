@@ -102,8 +102,9 @@ class LieTree:
         return self._hash
 
     def __str__(self):
-        # trees are immutable and ``bracket`` shares subtrees through its
-        # cache, so each one is rendered once
+        # trees are immutable and share subtrees (through ``bracket``'s
+        # cache, or within one ``irr_basis`` call), so each one is rendered
+        # once
         if self._text is None:
             if self.left is None:
                 self._text = self.word[0]

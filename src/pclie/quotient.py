@@ -16,10 +16,11 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .lie import LiePoly, LieTree, bracket, tree_value
-# expand and nlsw_decompose are not called here (a tree is evaluated in the
+from .lie import LiePoly, LieTree, tree_value
+# bracket, expand and nlsw_decompose are not called here (irr_basis builds
+# each tree from two earlier ones, and a tree is evaluated in the
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
-from .lie import expand, nlsw_decompose  # noqa: F401
+from .lie import bracket, expand, nlsw_decompose  # noqa: F401
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import Rule, normal_s_word  # noqa: F401
@@ -188,10 +189,29 @@ class GradedBasis:
 
 
 def irr_basis(graph, max_deg):
-    """The graded basis: canonical brackets of the pattern-free words."""
+    """The graded basis: canonical brackets of the pattern-free words.
+
+    Each tree is built from two trees built before it, found by rank tuple
+    in a table that lives for this call only.  The words come shortest
+    first, and every factor of a pattern-free word is pattern-free, so
+    every proper Lyndon-Shirshov suffix of a word is in the table when the
+    word comes up.  The right half of the standard split is the longest of
+    them: the first suffix found walking in from the left, and the prefix
+    it leaves is again a pattern-free Lyndon-Shirshov word.
+    """
     levels = [[] for _ in range(max_deg)]
+    trees = {}
     for u in irr_words(graph, max_deg):
-        levels[len(u) - 1].append(bracket(u))
+        r = u.ranks
+        if len(r) == 1:
+            t = LieTree(u, None, None)
+        else:
+            cut = 1
+            while r[cut:] not in trees:
+                cut += 1
+            t = LieTree(u, trees[r[:cut]], trees[r[cut:]])
+        trees[r] = t
+        levels[len(r) - 1].append(t)
     return GradedBasis(graph, max_deg, tuple(tuple(l) for l in levels))
 
 

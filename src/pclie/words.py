@@ -183,8 +183,9 @@ class Word:
         return self._hash
 
     def __str__(self):
+        letters = self.alphabet.letters
         sep = "" if self.alphabet._compact else " "
-        return sep.join(self.letters)
+        return sep.join([letters[r] for r in self.ranks])
 
     def __repr__(self):
         return f"Word({str(self)!r})"

@@ -142,6 +142,22 @@ def test_basis_full_and_cross_check(capsys, theta):
     assert any(line.startswith("3\t") for line in lines)
 
 
+def test_basis_lists_multi_character_letters(capsys, theta):
+    # multi-character letters are written with a space between them
+    from pclie import bracket
+    from pclie.quotient import CommGraph, irr_words
+
+    text = "x2 > x1 > x0\nx2 x0\n"
+    path = theta("multi.theta", text)
+    code, out, _ = run(capsys, "basis", "--theta", path, "--max-deg", "5")
+    assert code == 0
+    lines = out.splitlines()
+    words = irr_words(CommGraph.parse(text), 5)
+    assert lines[:-1] == [f"{len(w)}\t{w}\t{bracket(w)}" for w in words]
+    assert "3\tx2 x1 x0\t(x2 (x1 x0))" in lines
+    assert lines[-1] == "1:3 2:2 3:5 4:10 5:24"
+
+
 def test_basis_cross_check_json(capsys, theta):
     path = theta("xy_yz.theta", XY_YZ)
     code, out, _ = run(

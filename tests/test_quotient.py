@@ -10,6 +10,7 @@ from pclie import (
     LiePoly,
     LieTree,
     bracket,
+    clear_caches,
     compare_lex,
     enumerate_alsw,
     expand,
@@ -109,6 +110,11 @@ def test_generate_relations_bodies_are_basis_words():
 
 
 def test_irr_basis_fixtures():
+    # the trees are built within the call: no canonical bracket is cached
+    clear_caches()
+    assert irr_basis(CommGraph(A3, []), 6).dimensions() == [3, 3, 8, 18, 48, 116]
+    assert bracket.cache_info().currsize == 0
+
     g = CommGraph(A2, [("x", "y")])
     basis = irr_basis(g, 5)
     assert basis.dimensions() == [2, 0, 0, 0, 0]
@@ -121,16 +127,27 @@ def test_irr_basis_fixtures():
     assert irr_basis(free2, 5).dimensions() == [2, 1, 2, 3, 6]
 
 
+def basis_structure_cases():
+    yield CommGraph(A3, [("x", "y"), ("y", "z")]), 5
+    for g in all_graphs(A4, PAIRS4):
+        yield g, 7
+    for g in all_graphs(A3, PAIRS3):
+        yield g, 9
+
+
 def test_irr_basis_structure():
-    g = CommGraph(A3, [("x", "y"), ("y", "z")])
-    basis = irr_basis(g, 5)
-    for degree in range(1, 6):
-        for t in basis.trees(degree):
-            assert is_nlsw(t)
-            assert not contains_pattern(g, t.word)
-    md = basis.multidegree_dimensions()
-    assert sum(md.values()) == sum(basis.dimensions())
-    assert all(sum(k) <= 5 for k in md)
+    # each tree, built from earlier basis trees, against the canonical
+    # bracketing by standard splits, rendering included
+    for g, max_deg in basis_structure_cases():
+        basis = irr_basis(g, max_deg)
+        for degree in range(1, max_deg + 1):
+            for t in basis.trees(degree):
+                assert is_nlsw(t)
+                assert t == bracket(t.word) and str(t) == str(bracket(t.word)), g
+                assert not contains_pattern(g, t.word)
+        md = basis.multidegree_dimensions()
+        assert sum(md.values()) == sum(basis.dimensions())
+        assert all(sum(k) <= max_deg for k in md)
 
 
 def test_irr_words_equal_the_screened_enumeration():
