@@ -72,13 +72,14 @@ def cmd_alsw(args):
     dims = [0] * args.max_deg
     for w in words:
         dims[len(w) - 1] += 1
+    texts = [str(w) for w in words]
     _emit(
         args,
-        [str(w) for w in words],
+        texts,
         {
             "alphabet": alphabet.decl(),
             "max_deg": args.max_deg,
-            "words": [str(w) for w in words],
+            "words": texts,
             "dimensions": dims,
         },
     )

@@ -75,10 +75,6 @@ class LieTree:
         return cls(left.word + right.word, left, right)
 
     @property
-    def is_leaf(self):
-        return self.left is None
-
-    @property
     def letter(self):
         if self.left is not None:
             raise ValueError("not a leaf")

@@ -143,6 +143,18 @@ def generate_relations(graph, max_deg):
     return [_pattern_rule(w) for w in leads]
 
 
+def _irr_ranks(graph, max_deg):
+    """Rank tuples of the words of ``irr_words``, in the same order."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
+    below = graph._below
+    return _alsw_ranks(
+        len(graph.alphabet.letters),
+        max_deg,
+        lambda a, y: _pattern_start(below, a, len(a), y) is None,
+    )
+
+
 def irr_words(graph, max_deg):
     """Lyndon-Shirshov words of length <= max_deg avoiding every rule
     leading word as a contiguous factor, deg-lex ascending.
@@ -152,16 +164,7 @@ def irr_words(graph, max_deg):
     with a pattern contains it in every extension, so no word containing
     one is built and no pattern-free word is lost.
     """
-    if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
-    alphabet = graph.alphabet
-    below = graph._below
-    ranks = _alsw_ranks(
-        len(alphabet.letters),
-        max_deg,
-        lambda a, y: _pattern_start(below, a, len(a), y) is None,
-    )
-    return [Word(alphabet, r) for r in ranks]
+    return [Word(graph.alphabet, r) for r in _irr_ranks(graph, max_deg)]
 
 
 @dataclass
@@ -218,8 +221,8 @@ def irr_basis(graph, max_deg):
 def graded_dimensions(graph, max_deg):
     """Number of basis words per degree 1..max_deg."""
     dims = [0] * max_deg
-    for u in irr_words(graph, max_deg):
-        dims[len(u) - 1] += 1
+    for r in _irr_ranks(graph, max_deg):
+        dims[len(r) - 1] += 1
     return dims
 
 

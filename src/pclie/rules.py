@@ -5,9 +5,11 @@ word.  Rewriting a larger word around an occurrence of that leading word
 needs a bracketing of the host that isolates the occurrence; the special
 bracketing below provides it, and substituting the rule body into the
 isolated slot yields the normal s-word whose leading word is the host.
-The substitution is evaluated in the Lyndon-Shirshov basis: the body is
-bracketed with each sibling along the slot path in turn, deepest first,
-and every sibling is a canonical bracket, so a single basis element.
+A special bracketing is kept as the siblings along its slot path, and
+both its tree and the normal s-word are folds over them.  The
+substitution is evaluated in the Lyndon-Shirshov basis: the body is
+bracketed with each sibling in turn, deepest first, and every sibling is
+a canonical bracket, so a single basis element; no tree is built.
 """
 
 from __future__ import annotations
@@ -85,51 +87,39 @@ class Occurrence:
                 f"{self.sub} does not occur in {self.host} at position {self.position}"
             )
 
-    @property
-    def before(self):
-        return self.host[: self.position]
-
-    @property
-    def after(self):
-        return self.host[self.position + len(self.sub) :]
-
 
 class SpecialBracketing:
     """A rebracketing of [host] around one occurrence of a subword.
 
-    ``tree`` carries the bracket of the subword as the subtree at
-    ``slot_path`` (0 = left, 1 = right); the expansion of the whole tree
+    ``sides`` lists the (step, sibling) pairs along the slot path, root
+    first: step 0 when the path goes left, 1 when it goes right, and the
+    sibling is the canonical bracket on the other side.  The tree pairs
+    the slot, the bracket of the subword, with each sibling in turn,
+    deepest first, and is built only when ``tree`` is read; its expansion
     still leads with the host word, coefficient 1.  Substituting a Lie
     polynomial for the slot and bracketing back up the path gives the
     multilinear evaluation (``normal_s_word``).
     """
 
-    __slots__ = ("tree", "slot_path", "occurrence")
+    __slots__ = ("sides", "occurrence")
 
-    def __init__(self, tree, slot_path, occurrence):
-        self.tree = tree
-        self.slot_path = slot_path
+    def __init__(self, sides, occurrence):
+        self.sides = sides
         self.occurrence = occurrence
 
+    @property
+    def slot_path(self):
+        return tuple(step for step, _ in self.sides)
+
+    @property
+    def tree(self):
+        return _fold(self.sides, self.slot(), LieTree.pair)
+
     def slot(self):
-        return _walk(self.tree, self.slot_path)[1]
+        return bracket(self.occurrence.sub)
 
     def expand(self):
         return expand(self.tree)
-
-
-def _walk(tree, path):
-    """The (step, sibling) pairs along a path (0 = left, 1 = right), root
-    first, and the node where the path ends."""
-    sides = []
-    for step in path:
-        if step == 0:
-            sides.append((0, tree.right))
-            tree = tree.left
-        else:
-            sides.append((1, tree.left))
-            tree = tree.right
-    return sides, tree
 
 
 def _fold(sides, value, pair):
@@ -174,13 +164,10 @@ def special_bracket(occ):
         )
 
     overhang = u[q : p + len(node.word)]
-    factors = lyndon_factorize(overhang) if len(overhang) else []
-    new_sub = bracket(v)
-    for factor in factors:
-        new_sub = LieTree.pair(new_sub, bracket(factor))
-    tree = _fold(sides, new_sub, LieTree.pair)
-    path = tuple(step for step, _ in sides) + (0,) * len(factors)
-    return SpecialBracketing(tree, path, occ)
+    if len(overhang):
+        # [ck] is the sibling nearest the root in [[[sub][c1]]...[ck]]
+        sides += [(0, bracket(c)) for c in reversed(lyndon_factorize(overhang))]
+    return SpecialBracketing(sides, occ)
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +178,8 @@ def normal_s_word(a, s, b):
     w = a + s.leading + b
     occ = Occurrence(w, s.leading, len(a))  # validates the host
     sb = special_bracket(occ)
-    sides, _ = _walk(sb.tree, sb.slot_path)
-    # each sibling off the slot path is a canonical bracket: one basis element
-    basis_sides = [(step, {sib.word.ranks: 1}) for step, sib in sides]
+    # each sibling is a canonical bracket: one basis element
+    basis_sides = [(step, {sib.word.ranks: 1}) for step, sib in sb.sides]
     terms = _fold(basis_sides, _rank_terms(s.body), _bracket_terms)
     result = _from_rank_terms(w.alphabet, terms)
     lw, lc = result.leading()

@@ -57,9 +57,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"unknown letter {symbol!r}") from None
 
-    def symbol(self, rank):
-        return self.letters[rank]
-
     def word_of(self, symbols):
         """Build a word from an iterable of letter symbols."""
         return Word(self, tuple(self.rank(s) for s in symbols))

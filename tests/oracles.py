@@ -11,15 +11,17 @@ Pattern-free basis words are found by screening an independently
 generated word list against the definition of the patterns, read off the
 graph's edges with rank comparisons only.  The tree oracles (Shirshov's
 condition for canonical bracketings, substitution along a path by
-recursion) reuse the library's ``is_alsw``, ``expand`` and ``commutator``
-and check only the tree logic built on them.
+recursion, the special bracketing's tree by replacing one subtree of the
+host's bracket) reuse the library's ``is_alsw``, ``bracket``, ``expand``
+and ``commutator`` and check only the tree logic built on them.
 
 The Lie arithmetic of the engine brackets in the Lyndon-Shirshov basis
 directly.  Its oracles take the associative route instead: expand into
 the free associative algebra, multiply there, and read coordinates back
 with ``nlsw_decompose`` (``lie_bracket_by_expansion``,
 ``tree_value_by_expansion``, and ``normal_s_word_by_expansion`` through
-``expand_with``, the substituted expansion of a special bracketing).
+``expand_with``, the substituted expansion of a special bracketing,
+folded over its recorded siblings).
 """
 
 import itertools
@@ -28,9 +30,11 @@ from fractions import Fraction
 
 from pclie import (
     GREATER,
+    LieTree,
     Occurrence,
     Rule,
     Word,
+    bracket,
     commutator,
     compare_lex,
     composition,
@@ -42,7 +46,7 @@ from pclie import (
     reduce,
     special_bracket,
 )
-from pclie.rules import _fold, _walk
+from pclie.rules import _fold
 
 
 def all_words(alphabet, length):
@@ -99,12 +103,45 @@ def expand_substituted_by_recursion(t, path, repl):
     )
 
 
+def subtree_at(t, path):
+    """The subtree of t at the end of a path (0 = left, 1 = right)."""
+    for step in path:
+        t = t.right if step else t.left
+    return t
+
+
+def special_bracket_by_replacement(occ):
+    """The tree of the special bracketing at an occurrence, built by
+    recursive subtree replacement in the host's bracket: the smallest
+    subtree covering the occurrence, which must start with it, becomes
+    [[[sub][c1]]...[ck]], c1...ck the one non-decreasing factorization
+    into Lyndon-Shirshov words of the rest of its span."""
+    p, q = occ.position, occ.position + len(occ.sub)
+
+    def replace(t, start):
+        if t.left is not None:
+            mid = start + len(t.left.word)
+            if q <= mid:
+                return LieTree.pair(replace(t.left, start), t.right)
+            if p >= mid:
+                return LieTree.pair(t.left, replace(t.right, mid))
+        if start != p:
+            raise AssertionError(f"no subtree of [{occ.host}] starts at {p}")
+        overhang = occ.host[q : start + len(t.word)]
+        (factors,) = nondecreasing_alsw_factorizations(overhang)
+        new = bracket(occ.sub)
+        for c in factors:
+            new = LieTree.pair(new, bracket(c))
+        return new
+
+    return replace(bracket(occ.host), 0)
+
+
 def expand_with(sb, replacement):
     """The expansion of a special bracketing's tree with the slot's
     expansion replaced by the associative polynomial replacement: a fold
     of ``commutator`` over the expanded siblings of the slot path."""
-    sides, _ = _walk(sb.tree, sb.slot_path)
-    expanded = [(step, expand(sib)) for step, sib in sides]
+    expanded = [(step, expand(sib)) for step, sib in sb.sides]
     return _fold(expanded, replacement, commutator)
 
 

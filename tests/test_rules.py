@@ -21,7 +21,14 @@ from pclie import (
 )
 from pclie.quotient import CommGraph, generate_relations
 
-from oracles import expand_substituted_by_recursion, expand_with, in_span
+from oracles import (
+    expand_substituted_by_recursion,
+    expand_with,
+    in_span,
+    normal_s_word_by_expansion,
+    special_bracket_by_replacement,
+    subtree_at,
+)
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -84,22 +91,25 @@ def test_special_bracket_containment_failure_is_an_invariant_error(monkeypatch):
 
 def test_special_bracket_exhaustive_leading_word():
     rebracketed = 0
-    for u in enumerate_alsw(A3, 6):
-        for i in range(len(u)):
-            for j in range(i + 1, len(u) + 1):
-                v = u[i:j]
-                if not is_alsw(v):
-                    continue
-                sb = special_bracket(Occurrence(u, v, i))
-                assert leading_word(sb.expand()) == (u, 1)
-                assert sb.slot() == bracket(v)
-                assert expand_with(sb, expand(sb.slot())) == sb.expand()
-                repl = AssocPoly.monomial(v)
-                assert expand_with(sb, repl) == expand_substituted_by_recursion(
-                    sb.tree, sb.slot_path, repl
-                )
-                if sb.tree != bracket(u):
-                    rebracketed += 1
+    for alphabet, max_deg in ((A3, 6), (A2, 9)):
+        for u in enumerate_alsw(alphabet, max_deg):
+            for i in range(len(u)):
+                for j in range(i + 1, len(u) + 1):
+                    v = u[i:j]
+                    if not is_alsw(v):
+                        continue
+                    occ = Occurrence(u, v, i)
+                    sb = special_bracket(occ)
+                    assert sb.tree == special_bracket_by_replacement(occ)
+                    assert subtree_at(sb.tree, sb.slot_path) == bracket(v)
+                    assert leading_word(sb.expand()) == (u, 1)
+                    assert expand_with(sb, expand(sb.slot())) == sb.expand()
+                    repl = AssocPoly.monomial(v)
+                    assert expand_with(sb, repl) == expand_substituted_by_recursion(
+                        sb.tree, sb.slot_path, repl
+                    )
+                    if sb.tree != bracket(u):
+                        rebracketed += 1
     # plenty of occurrences genuinely change the tree shape
     assert rebracketed > 0
 
@@ -118,6 +128,42 @@ def test_normal_s_word_examples():
 
     right = normal_s_word(A2.empty_word(), s, A2.word("y"))
     assert right.leading() == (A2.word("xyy"), 1)
+
+
+def test_normal_s_word_builds_no_tree(monkeypatch):
+    # rebracketing occurrences: the overhang of the slot's subtree is
+    # refactored, so the special bracketing's tree differs from [host]
+    rules = [
+        Rule(LiePoly.basis(A3.word("xy"))),
+        Rule(
+            LiePoly(
+                A3,
+                {A3.word("xyz"): 1, A3.word("xzy"): 2, A3.word("xz"): Fraction(-1, 2)},
+            )
+        ),
+    ]
+    from oracles import all_words
+
+    cases = []
+    for s in rules:
+        for la in range(3):
+            for lb in range(1, 4):
+                for a in all_words(A3, la):
+                    for b in all_words(A3, lb):
+                        w = a + s.leading + b
+                        if not is_alsw(w):
+                            continue
+                        sb = special_bracket(Occurrence(w, s.leading, la))
+                        if sb.tree != bracket(w):
+                            cases.append((a, s, b, normal_s_word_by_expansion(a, s, b)))
+    assert len(cases) > 10
+
+    def no_tree(left, right):
+        raise AssertionError("normal_s_word built a tree")
+
+    monkeypatch.setattr(LieTree, "pair", no_tree)
+    for a, s, b, expected in cases:
+        assert normal_s_word.__wrapped__(a, s, b) == expected
 
 
 def test_normal_s_word_requires_lyndon_shirshov_host():
