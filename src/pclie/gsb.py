@@ -114,6 +114,8 @@ def _ambiguity_key(m):
 def find_ambiguities(rules, max_deg):
     """All inclusion and intersection ambiguities with witness length at
     most max_deg, sorted by witness (deg-lex), then rule indices."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
     ambs = []
     for fi, f in enumerate(rules):
         for gi, g in enumerate(rules):

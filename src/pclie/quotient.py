@@ -96,14 +96,15 @@ def rhd(a, b, graph):
     return rb in graph._below[ra]
 
 
-def _pattern_start(below, ranks, end, y):
-    """Start of the pattern x u y that the letter y completes after
-    ranks[:end], or None.
+def _pattern_start(below, ranks, end):
+    """Start of the pattern x u y that ends with the letter y = ranks[end],
+    or None.
 
-    Walking back from end over the letters that y dominates, the first
+    Walking back from y over the letters that y dominates, the first
     other letter is the only candidate for x, so at most one pattern ends
     at each position: there is one exactly when that letter dominates y.
     """
+    y = ranks[end]
     inner = below[y]
     for i in range(end - 1, -1, -1):
         if ranks[i] not in inner:
@@ -115,9 +116,8 @@ def _pattern_spans(graph, ranks):
     """Each (i, j) such that ranks[i:j] has the shape x u y with x
     dominating y and y dominating every letter of u, by start i, then end
     j."""
-    below = graph._below
-    ends = [(_pattern_start(below, ranks, j, y), j + 1) for j, y in enumerate(ranks)]
-    return sorted(span for span in ends if span[0] is not None)
+    starts = [_pattern_start(graph._below, ranks, j) for j in range(len(ranks))]
+    return sorted((i, j + 1) for j, i in enumerate(starts) if i is not None)
 
 
 def contains_pattern(graph, word):
@@ -151,7 +151,7 @@ def _irr_ranks(graph, max_deg):
     return _alsw_ranks(
         len(graph.alphabet.letters),
         max_deg,
-        lambda a, y: _pattern_start(below, a, len(a), y) is None,
+        lambda w, n: _pattern_start(below, w, n - 1) is None,
     )
 
 
@@ -159,10 +159,10 @@ def irr_words(graph, max_deg):
     """Lyndon-Shirshov words of length <= max_deg avoiding every rule
     leading word as a contiguous factor, deg-lex ascending.
 
-    Generated directly: the Lyndon-Shirshov generator refuses a letter
-    that completes a pattern at the end of the prefix.  A prefix that ends
-    with a pattern contains it in every extension, so no word containing
-    one is built and no pattern-free word is lost.
+    Generated directly: the Lyndon-Shirshov generator drops a word whose
+    last letter completes a pattern, with all its extensions.  A word that
+    ends with a pattern contains it in every extension, so no word
+    containing one is built and no pattern-free word is lost.
     """
     return [Word(graph.alphabet, r) for r in _irr_ranks(graph, max_deg)]
 

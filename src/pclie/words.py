@@ -295,42 +295,40 @@ def _standard_cut(r):
     return 1 + max(a for a, _ in _factor_bounds(r[1:]))
 
 
-def _alsw_ranks(k, max_len, may_follow=None):
+def _alsw_ranks(k, max_len, ends_ok=None):
     """Rank tuples of all Lyndon-Shirshov words of length <= max_len over
     ranks 0..k-1, deg-lex ascending.
 
-    A depth-first walk over the prenecklaces (prefixes of Lyndon-Shirshov
-    words) in the recursive form of the Fredricksen-Kessler-Maiorana
-    generator, on the mirrored order: the children of a prefix a of length
-    t with period p are the ranks r <= a[t-p]; r == a[t-p] keeps the period
-    and a smaller r makes it t+1.  A prefix whose period is its length is a
-    Lyndon-Shirshov word.  Children are visited in ascending rank, so each
-    length comes out in lexicographic order.
+    Duval's generator (Theor. Comput. Sci. 60, 1988) on the mirrored
+    order, with no recursion: from [k], step the last letter down one
+    rank, keep the word, extend it periodically up to max_len and pop the
+    trailing rank-0 letters, until nothing is left.  Each word met is a
+    prenecklace, and stepping down its last letter skips all of its
+    extensions.  Each length comes out descending and is reversed.
 
-    ``may_follow(prefix, r)``, when given, says whether rank r may be
-    appended to the prefix (a list of ranks).  A refused prefix is not
-    extended, so only the words whose every letter passed the test are
-    returned; a test for "the prefix now ends with a forbidden factor"
-    keeps exactly the words free of such factors.
+    ``ends_ok(w, n)``, when given, says whether the list w of length n may
+    end with its last letter.  A refused word is neither kept nor extended
+    (the extension stops at it) and its last letter is stepped past, so a
+    test for "w now ends with a forbidden factor" keeps exactly the words
+    free of such factors.
     """
     levels = [[] for _ in range(max_len)]
-    a = []
-
-    def extend(p):
-        t = len(a)
-        if t == p:
-            levels[t - 1].append(tuple(a))
-        if t == max_len:
-            return
-        top = a[t - p] if t else k - 1
-        for r in range(top + 1):
-            if may_follow is None or may_follow(a, r):
-                a.append(r)
-                extend(p if r == top else t + 1)
-                a.pop()
-
-    extend(1)
-    return [w for level in levels for w in level]
+    w, n = [k], 1
+    while True:
+        w[-1] -= 1
+        if ends_ok is None or ends_ok(w, n):
+            levels[n - 1].append(tuple(w))
+            m = n
+            while n < max_len:
+                w.append(w[n - m])
+                n += 1
+                if ends_ok is not None and not ends_ok(w, n):
+                    break
+        while w[-1] == 0:
+            w.pop()
+            n -= 1
+            if not n:
+                return [r for level in levels for r in reversed(level)]
 
 
 def enumerate_alsw(alphabet, max_deg):

@@ -7,13 +7,17 @@ necklace-count formula, and linear algebra is plain fraction-exact
 Gaussian elimination.  Completion is the one exception: its oracle is the
 plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
-Pattern-free basis words are found by screening an independently
-generated word list against the definition of the patterns, read off the
-graph's edges with rank comparisons only.  The tree oracles (Shirshov's
-condition for canonical bracketings, substitution along a path by
-recursion, the special bracketing's tree by replacing one subtree of the
-host's bracket) reuse the library's ``is_alsw``, ``bracket``, ``expand``
-and ``commutator`` and check only the tree logic built on them.
+Pattern-free basis words are found by screening a word list against the
+definition of the patterns, read off the graph's edges with rank
+comparisons only.  The list comes from ``_mirrored_lyndon_ranks``, the
+same Duval loop as the library's generator but without its pattern test,
+so it checks the pruning; the tests also screen ``all_words`` filtered by
+``is_alsw_by_splits``, which shares no generator code with either.  The
+tree oracles (Shirshov's condition for canonical bracketings,
+substitution along a path by recursion, the special bracketing's tree by
+replacing one subtree of the host's bracket) reuse the library's
+``is_alsw``, ``bracket``, ``expand`` and ``commutator`` and check only
+the tree logic built on them.
 
 The Lie arithmetic of the engine brackets in the Lyndon-Shirshov basis
 directly.  Its oracles take the associative route instead: expand into

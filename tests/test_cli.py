@@ -9,6 +9,7 @@ STAR3 = "x > y > z\nx y\nx z\n"
 ABELIAN2 = "x > y\nx y\n"
 XZ = "x > y > z\nx z\n"
 XY_YZ = "x > y > z\nx y\ny z\n"
+ABELIAN3 = "x > y > z\nx y\nx z\ny z\n"
 
 
 @pytest.fixture
@@ -41,6 +42,12 @@ def test_alsw_json(capsys):
     assert code == 0
     assert rec["dimensions"] == [2, 1, 2]
     assert set(rec["words"]) == {"y", "x", "xy", "xyy", "xxy"}
+
+
+def test_alsw_deep_degree(capsys):
+    # far past the recursion limit; the one-letter answer comes at once
+    code, out, err = run(capsys, "alsw", "--alphabet", "x", "--max-deg", "3000")
+    assert (code, out, err) == (0, "x\n", "")
 
 
 def test_factorize(capsys):
@@ -158,6 +165,21 @@ def test_basis_lists_multi_character_letters(capsys, theta):
     assert lines[-1] == "1:3 2:2 3:5 4:10 5:24"
 
 
+def test_basis_deep_degree_on_the_abelian_graph(capsys, theta):
+    # every pair commutes, so the letters are the whole basis at any degree
+    path = theta("abelian3.theta", ABELIAN3)
+    argv = ["basis", "--theta", path, "--max-deg", "1200", "--cross-check"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["1\tz\tz", "1\ty\ty", "1\tx\tx"]
+    assert lines[-2].startswith("1:3 2:0 ")
+    assert lines[-1] == "cross-check: ok"
+    code, out, _ = run(capsys, *argv, "--dims-only")
+    assert code == 0
+    assert out.splitlines() == lines[-2:]
+
+
 def test_basis_cross_check_json(capsys, theta):
     path = theta("xy_yz.theta", XY_YZ)
     code, out, _ = run(
@@ -179,6 +201,15 @@ def test_complete(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[:2] == ["[xy]", "[yz]"]
     assert "[xzy]" in lines
+
+
+def test_complete_refuses_a_degree_bound_below_1(capsys, theta):
+    # at --max-deg -3 no ambiguity would be checked and the input rules
+    # would be printed as complete
+    path = theta("pair.rules", "x > y > z\n(x y)\n(y z)\n")
+    code, out, err = run(capsys, "complete", "--rules", path, "--max-deg", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: max_deg must be at least 1\n"
 
 
 def test_missing_file(capsys):

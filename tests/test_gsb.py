@@ -160,6 +160,16 @@ def test_complete_examples():
         assert complete(rules, 6) == rules
 
 
+@pytest.mark.parametrize("check", [find_ambiguities, is_gsb, complete])
+@pytest.mark.parametrize("max_deg", [0, -3])
+def test_degree_bounds_that_check_nothing_are_refused(check, max_deg):
+    # with no witness length allowed, no ambiguity would be checked and the
+    # rule set would pass as closed
+    rules = [single(A3, "xy"), single(A3, "yz")]
+    with pytest.raises(ValueError, match="max_deg must be at least 1"):
+        check(rules, max_deg)
+
+
 def test_reduce_kills_ideal_members_of_a_verified_basis():
     g = CommGraph(A3, [("x", "y"), ("x", "z")])
     rules = generate_relations(g, 5)

@@ -36,7 +36,9 @@ from pclie.quotient import (
 )
 
 from oracles import (
+    all_words,
     irr_words_by_screening,
+    is_alsw_by_splits,
     multidegree_series_dims,
     pattern_spans_by_definition,
     product_formula_series,
@@ -156,6 +158,29 @@ def test_irr_words_equal_the_screened_enumeration():
         assert irr_words(g, 7) == irr_words_by_screening(g, 7), g
     for g in all_graphs(A3, PAIRS3):
         assert irr_words(g, 9) == irr_words_by_screening(g, 9), g
+
+
+def test_irr_words_equal_the_definition_on_all_words():
+    # shares no generator with irr_words or irr_words_by_screening (both
+    # run Duval's loop): every word, kept when Lyndon-Shirshov by its
+    # definition and free of patterns by theirs.  all_words runs through
+    # each length in ascending rank order, so the list is deg-lex
+    # ascending, and irr_words must match it in order too
+    def expected(graph, lsw):
+        return [
+            u for u in lsw if next(pattern_spans_by_definition(graph, u.ranks), None) is None
+        ]
+
+    lsw4 = [u for n in range(1, 6) for u in all_words(A4, n) if is_alsw_by_splits(u)]
+    for g in all_graphs(A4, PAIRS4):
+        assert irr_words(g, 5) == expected(g, lsw4), g
+    a5 = Alphabet.from_decl("a > b > c > d > e")
+    lsw5 = [u for n in range(1, 6) for u in all_words(a5, n) if is_alsw_by_splits(u)]
+    pairs5 = list(itertools.combinations(a5.letters, 2))
+    rng = random.Random(11)
+    for _ in range(40):
+        g = CommGraph(a5, [e for e in pairs5 if rng.random() < 0.5])
+        assert irr_words(g, 5) == expected(g, lsw5), g
 
 
 def test_multidegree_dimensions_match_the_clique_polynomial():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pclie import (
@@ -13,6 +15,7 @@ from pclie import (
     lyndon_factorize,
     standard_split,
 )
+from pclie.words import _alsw_ranks
 
 from oracles import (
     all_words,
@@ -185,6 +188,34 @@ def test_enumerate_alsw_examples():
 
     with pytest.raises(ValueError):
         enumerate_alsw(A2, 0)
+
+
+def test_enumerate_alsw_deep_degree():
+    # the generator does not recurse, so a degree far past the recursion
+    # limit costs no more than the walk to it
+    single = Alphabet.from_decl("x")
+    assert enumerate_alsw(single, 5000) == [single.word("x")]
+
+
+def test_alsw_ranks_prunes_exactly_the_words_with_a_forbidden_factor():
+    # a test for "the word now ends with a forbidden factor" keeps the
+    # Lyndon-Shirshov words free of those factors, in deg-lex order.  Some
+    # factors here first appear in a periodic extension (xx after x),
+    # which the x u y patterns of a commutation graph never do
+    lsw = [u.ranks for n in range(1, 8) for u in all_words(A3, n) if is_alsw_by_splits(u)]
+    rng = random.Random(5)
+    for forbidden in [{(2, 2)}, {(1, 0, 1)}, {(2, 1, 2), (0, 0)}] + [
+        {tuple(rng.randrange(3) for _ in range(rng.randint(2, 4))) for _ in range(2)}
+        for _ in range(12)
+    ]:
+
+        def ends_ok(w, n):
+            return not any(tuple(w[n - len(f) : n]) == f for f in forbidden)
+
+        def free(r):
+            return all(r[i : i + len(f)] != f for f in forbidden for i in range(len(r)))
+
+        assert _alsw_ranks(3, 7, ends_ok) == [r for r in lsw if free(r)], forbidden
 
 
 def test_enumerate_alsw_matches_brute_force():
