@@ -31,7 +31,7 @@ from .lie import (
     nlsw_decompose,
     tree_value,
 )
-from .lie import _bracket_ranks  # emptied by clear_caches
+from .lie import _basis_bracket  # emptied by clear_caches
 from .rules import (
     InvariantError,
     Occurrence,
@@ -74,5 +74,5 @@ def clear_caches():
     """Empty every module-level cache: the Lyndon-Shirshov test, canonical
     brackets, associative expansions, the basis bracket table and normal
     s-words.  Results do not change; only memory is given back."""
-    for cached in (is_alsw, bracket, expand, _bracket_ranks, normal_s_word):
+    for cached in (is_alsw, bracket, expand, _basis_bracket, normal_s_word):
         cached.cache_clear()

@@ -42,21 +42,22 @@ def _load_graph(path):
         return CommGraph.parse(fh.read())
 
 
+def _read_rule(alphabet, line):
+    poly = parse_expr(line, alphabet).to_lie_poly()
+    if poly.is_zero():
+        raise ValueError("rule is zero")
+    return Rule.monic(poly)
+
+
 def _load_rules(path):
     """Rules file: first significant line an alphabet declaration, then one
     expression per line; each is normalized to a monic rule."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    alphabet, lines = _read_decl_file(text, "rules")
-    out = []
-    for lineno, line in lines:
-        poly = parse_expr(line, alphabet).to_lie_poly()
-        if poly.is_zero():
-            raise ValueError(f"line {lineno}: rule is zero")
-        out.append(Rule.monic(poly))
-    if not out:
+    alphabet, rules = _read_decl_file(text, "rules", _read_rule)
+    if not rules:
         raise ValueError("rules file has no rules")
-    return alphabet, out
+    return alphabet, rules
 
 
 def _emit(args, text_lines, record):

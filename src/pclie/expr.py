@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import LiePoly, LieTree, tree_value
+from .words import LETTER_NAME
 # expand and nlsw_decompose are not called here (to_lie_poly brackets in the
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import expand, nlsw_decompose  # noqa: F401
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/]))")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({LETTER_NAME})|([()+\-*/]))")
 
 
 class ParseError(ValueError):

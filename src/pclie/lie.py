@@ -4,8 +4,9 @@ Elements of the free Lie algebra are kept in coordinates over the
 canonical basis of bracketed Lyndon-Shirshov words, with exact rational
 coefficients (plain ints whenever possible).  Two basis elements are
 bracketed in those coordinates directly, by the classic recursion on
-standard splits (``_bracket_ranks``), and every Lie product in the
-engine is that bracket extended bilinearly.
+standard splits (``_basis_bracket``), and every Lie product in the
+engine is that bracket extended bilinearly, on the one term format of
+``LiePoly.terms``: a dict from Lyndon-Shirshov word to coefficient.
 
 Expansion into the free associative algebra realizes the bracket as
 (ab) = ab - ba; the leading associative word of a bracketed
@@ -379,10 +380,10 @@ def nlsw_decompose(p):
 
 
 @lru_cache(maxsize=None)
-def _bracket_ranks(u, v):
+def _basis_bracket(u, v):
     """The bracket of the basis elements [u] and [v], for Lyndon-Shirshov
-    rank tuples u and v, as a dict from rank tuple to integer coefficient.
-    The dict is shared through the cache and must not be changed.
+    words u and v, as a dict from word to integer coefficient.  The dict
+    is shared through the cache and must not be changed.
 
     For u > v with standard split u = u1 u2, [u][v] is the basis element
     [uv] when u is a letter or u2 <= v: then uv is Lyndon-Shirshov and its
@@ -391,46 +392,35 @@ def _bracket_ranks(u, v):
     (Reutenauer, Free Lie Algebras, 1993, sections 4-5)."""
     if u == v:
         return {}
-    if _compare_ranks(u, v) == LESS:
-        return {w: -c for w, c in _bracket_ranks(v, u).items()}
+    if _compare_ranks(u.ranks, v.ranks) == LESS:
+        return {w: -c for w, c in _basis_bracket(v, u).items()}
     if len(u) == 1:
         return {u + v: 1}
-    cut = _standard_cut(u)
+    cut = _standard_cut(u.ranks)
     u1, u2 = u[:cut], u[cut:]
-    if _compare_ranks(u2, v) != GREATER:
+    if _compare_ranks(u2.ranks, v.ranks) != GREATER:
         return {u + v: 1}
     out = {}
-    for w, c in _bracket_ranks(u2, v).items():
-        _axpy(out, c, _bracket_ranks(u1, w))
-    for w, c in _bracket_ranks(u1, v).items():
-        _axpy(out, c, _bracket_ranks(w, u2))
+    for w, c in _basis_bracket(u2, v).items():
+        _axpy(out, c, _basis_bracket(u1, w))
+    for w, c in _basis_bracket(u1, v).items():
+        _axpy(out, c, _basis_bracket(w, u2))
     return out
 
 
 def _bracket_terms(p, q):
-    """The bracket of two elements given as term dicts over rank tuples,
-    extended bilinearly from ``_bracket_ranks``."""
+    """The bracket of two elements given as term dicts, extended
+    bilinearly from ``_basis_bracket``."""
     out = {}
     for u, a in p.items():
         for v, b in q.items():
-            _axpy(out, a * b, _bracket_ranks(u, v))
+            _axpy(out, a * b, _basis_bracket(u, v))
     return out
-
-
-def _rank_terms(p):
-    """The terms of a Lie polynomial keyed by rank tuples."""
-    return {w.ranks: c for w, c in p.terms.items()}
-
-
-def _from_rank_terms(alphabet, terms):
-    """The Lie polynomial with the given terms over rank tuples; each word
-    is checked to be Lyndon-Shirshov."""
-    return LiePoly(alphabet, {Word(alphabet, r): c for r, c in terms.items()})
 
 
 def _tree_terms(t):
     if t.left is None:
-        return {t.word.ranks: 1}
+        return {t.word: 1}
     return _bracket_terms(_tree_terms(t.left), _tree_terms(t.right))
 
 
@@ -438,14 +428,14 @@ def tree_value(t):
     """The Lie element a bracketed word denotes, in basis coordinates: a
     leaf is its letter, and a pair is the bracket of its children's
     values."""
-    return _from_rank_terms(t.word.alphabet, _tree_terms(t))
+    return LiePoly(t.word.alphabet, _tree_terms(t))
 
 
 def lie_bracket(p, q):
     """Lie bracket of two elements in basis coordinates."""
     if p.alphabet != q.alphabet:
         raise ValueError("mixed alphabets")
-    return _from_rank_terms(p.alphabet, _bracket_terms(_rank_terms(p), _rank_terms(q)))
+    return LiePoly(p.alphabet, _bracket_terms(p.terms, q.terms))
 
 
 def left_pair_expansion(x, u):

@@ -21,9 +21,10 @@ from .lie import LiePoly, LieTree, tree_value
 # each tree from two earlier ones, and a tree is evaluated in the
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import bracket, expand, nlsw_decompose  # noqa: F401
+from .rules import Rule
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
-from .rules import Rule, normal_s_word  # noqa: F401
+from .rules import normal_s_word  # noqa: F401
 from .words import Word, _alsw_ranks, _read_decl_file, deglex_key
 # enumerate_alsw is not called here either (irr_words runs the pruned
 # generator), but perfbench/layers.py wraps this binding too
@@ -55,14 +56,15 @@ class CommGraph:
         """Parse the graph file format: first significant line an alphabet
         declaration, then one edge per line as two symbols; blank lines
         and '#' comments ignored."""
-        alphabet, lines = _read_decl_file(text, "graph")
-        edges = []
-        for lineno, line in lines:
+
+        def edge(alphabet, line):
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected two letters, got {line!r}")
-            edges.append((parts[0], parts[1]))
-        return cls(alphabet, edges)
+                raise ValueError(f"expected two letters, got {line!r}")
+            cls(alphabet, [parts])  # refuses an unknown letter or a loop
+            return parts
+
+        return cls(*_read_decl_file(text, "graph", edge))
 
     def has_edge(self, a, b):
         ra, rb = self.alphabet.rank(a), self.alphabet.rank(b)

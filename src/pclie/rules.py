@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import LieTree, _bracket_terms, _from_rank_terms, _rank_terms, bracket, expand
+from .lie import LiePoly, LieTree, _bracket_terms, bracket, expand
 # commutator and nlsw_decompose are not called here (normal_s_word brackets
 # in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import commutator, nlsw_decompose  # noqa: F401
@@ -179,9 +179,8 @@ def normal_s_word(a, s, b):
     occ = Occurrence(w, s.leading, len(a))  # validates the host
     sb = special_bracket(occ)
     # each sibling is a canonical bracket: one basis element
-    basis_sides = [(step, {sib.word.ranks: 1}) for step, sib in sb.sides]
-    terms = _fold(basis_sides, _rank_terms(s.body), _bracket_terms)
-    result = _from_rank_terms(w.alphabet, terms)
+    basis_sides = [(step, {sib.word: 1}) for step, sib in sb.sides]
+    result = LiePoly(w.alphabet, _fold(basis_sides, s.body.terms, _bracket_terms))
     lw, lc = result.leading()
     if lw != w or lc != 1:
         raise InvariantError(f"normal s-word {w} lead check failed: {result}")

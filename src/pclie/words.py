@@ -11,9 +11,11 @@ consistency tests exercise exactly that).
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 LESS, EQUAL, GREATER = -1, 0, 1
+LETTER_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # also a symbol of the expression grammar
 
 
 class Alphabet:
@@ -32,7 +34,7 @@ class Alphabet:
         if len(set(letters)) != len(letters):
             raise ValueError(f"alphabet letters must be distinct: {letters!r}")
         for sym in letters:
-            if not sym or not all(ch.isalnum() or ch == "_" for ch in sym):
+            if not re.fullmatch(LETTER_NAME, sym):
                 raise ValueError(f"bad letter name {sym!r}")
         self.letters = letters
         self._rank = {sym: i for i, sym in enumerate(letters)}
@@ -103,19 +105,23 @@ class Alphabet:
         return f"Alphabet({self.decl()!r})"
 
 
-def _read_decl_file(text, kind):
-    """Read the header shared by graph and rules files: '#' starts a
-    comment, blank lines are skipped, and the first significant line
-    declares the alphabet.  Returns the alphabet and the (lineno, line)
-    pairs of the significant lines after it."""
-    lines = []
+def _read_decl_file(text, kind, read_line):
+    """Read a graph or rules file, '#' comments and blank lines dropped:
+    the first line declares the alphabet, ``read_line(alphabet, line)``
+    reads each later one, and its errors name the line.  Returns both."""
+    alphabet, values = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-    if not lines:
+        if line and alphabet is None:
+            alphabet = Alphabet.from_decl(line)
+        elif line:
+            try:
+                values.append(read_line(alphabet, line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    if alphabet is None:
         raise ValueError(f"{kind} file has no alphabet declaration")
-    return Alphabet.from_decl(lines[0][1]), lines[1:]
+    return alphabet, values
 
 
 class Word:

@@ -77,8 +77,9 @@ def _stack_depth():
 
 def test_bracket_too_deep_exits_2(capsys):
     # the tree algorithms recurse about once per letter.  With the default
-    # limit it takes a word of about 600 letters, and seconds of work, to
-    # get there; a lowered limit shows the same path on 151 letters
+    # limit it takes a word of about 600 letters to get there, which is
+    # under a second of work; a lowered limit shows the same path on 151
+    # letters
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -230,6 +231,17 @@ def test_missing_file(capsys):
         ),
         ("complete", "zero.rules", "x > y\n(x y)\n(x x)\n", "line 3: rule is zero"),
         ("complete", "none.rules", "x > y\n# none\n\n", "rules file has no rules"),
+        ("verify", "letter.theta", "x > y\nx q\n", "line 2: unknown letter 'q'"),
+        (
+            "verify", "loop.theta", "x > y\ny y\n",
+            "line 2: commutation relation must be irreflexive: (y,y)",
+        ),
+        (
+            "complete", "symbol.rules", "x > y\n(x y)\n(x q)\n",
+            "line 3: position 3: unknown symbol 'q'",
+        ),
+        # a letter the expression grammar could not name is refused up front
+        ("verify", "digit.theta", "x > 1\nx 1\n", "bad letter name '1'"),
     ],
 )
 def test_file_format_errors(capsys, theta, command, name, text, message):

@@ -9,17 +9,30 @@ from pclie import (
     LiePoly,
     LieTree,
     NotLieElementError,
+    Rule,
+    Word,
     bracket,
+    clear_caches,
     enumerate_alsw,
     expand,
+    is_alsw,
     is_nlsw,
     leading_word,
     left_pair_expansion,
     lie_bracket,
     nlsw_decompose,
+    normal_s_word,
+    tree_value,
 )
 
-from oracles import SpanReducer, is_nlsw_by_hall_condition, lie_bracket_by_expansion
+from oracles import (
+    SpanReducer,
+    all_words,
+    is_nlsw_by_hall_condition,
+    lie_bracket_by_expansion,
+    normal_s_word_by_expansion,
+    tree_value_by_expansion,
+)
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -205,6 +218,64 @@ def test_basis_bracket_matches_the_expansion_exhaustively():
             assert lie_bracket(p, q) == lie_bracket_by_expansion(p, q), (u, v)
             checked += 1
     assert checked == 5632
+
+
+def test_alphabets_of_one_size_keep_their_own_words():
+    # x > y > z and a > b > c have the same rank tuples.  The basis bracket
+    # table is keyed by words, which carry their alphabet, so interleaved
+    # calls on the two compute and return words of their own alphabet
+    B3 = Alphabet.from_decl("a > b > c")
+    rng = random.Random(31)
+
+    def shape(leaves):
+        if leaves == 1:
+            return rng.randrange(3)
+        k = rng.randint(1, leaves - 1)
+        return shape(k), shape(leaves - k)
+
+    def tree(al, s):
+        if isinstance(s, int):
+            return LieTree(Word(al, (s,)), None, None)
+        return LieTree.pair(tree(al, s[0]), tree(al, s[1]))
+
+    def rule(al, body):
+        return Rule(LiePoly(al, {Word(al, r): c for r, c in body.items()}))
+
+    words = [w.ranks for w in enumerate_alsw(A3, 4)]
+    pairs = [(u, v) for u in words for v in words if u != v and len(u) + len(v) <= 6]
+    shapes = [shape(rng.randint(2, 7)) for _ in range(60)]
+    # [xy], and the rule leading with xyz of test_rules
+    bodies = [{(2, 1): 1}, {(2, 1, 0): 1, (2, 0, 1): 2, (2, 0): Fraction(-1, 2)}]
+    s_words = []
+    for body in bodies:
+        lead = rule(A3, body).leading.ranks
+        for a in (w.ranks for n in range(3) for w in all_words(A3, n)):
+            for b in (w.ranks for n in range(1, 3) for w in all_words(A3, n)):
+                if is_alsw(Word(A3, a + lead + b)):
+                    s_words.append((a, body, b))
+    assert len(pairs) > 300 and len(s_words) > 20
+
+    results = []
+
+    def check(al, got, expected):
+        assert got == expected
+        assert all(w.alphabet == al for w in got.terms)
+        results.append(got)
+
+    clear_caches()
+    for i in range(max(len(pairs), len(shapes), len(s_words))):
+        for al in (A3, B3):
+            if i < len(pairs):
+                p, q = (LiePoly.basis(Word(al, r)) for r in pairs[i])
+                check(al, lie_bracket(p, q), lie_bracket_by_expansion(p, q))
+            if i < len(shapes):
+                t = tree(al, shapes[i])
+                check(al, tree_value(t), tree_value_by_expansion(t))
+            if i < len(s_words):
+                a, body, b = s_words[i]
+                args = Word(al, a), rule(al, body), Word(al, b)
+                check(al, normal_s_word(*args), normal_s_word_by_expansion(*args))
+    assert sum(1 for r in results if r) > 800
 
 
 def test_integrality_closure():

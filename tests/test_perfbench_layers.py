@@ -3,6 +3,7 @@ renamed or removed binding only shows up when a traced benchmark run fails.
 This checks every name it patches against the package, without installing
 the tracer."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -31,6 +32,28 @@ def test_traced_names_resolve_on_the_package():
         assert meth in cls.__dict__, f"{mod}.{cls_name}.{meth}"
     for mod, attr, _ in layers.CACHES:
         assert hasattr(getattr(pclie_module(mod), attr), "cache_info"), f"{mod}.{attr}"
+
+
+def test_every_tracer_only_import_is_a_traced_binding():
+    # an import kept only for the tracer is marked noqa: F401; once the
+    # tracer stops wrapping that binding, the import is dead and fails here
+    layers = load_layers()
+    bound = {(mod, attr) for mod, attr, _ in layers.BINDINGS}
+    src = os.path.join(ROOT, "src", "pclie")
+    marked = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                marked += [(name[:-3], alias.asname or alias.name) for alias in node.names]
+    assert marked
+    assert [b for b in marked if b not in bound] == []
 
 
 def test_normal_s_word_calls_special_bracket_through_the_module_global(monkeypatch):

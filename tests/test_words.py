@@ -40,6 +40,11 @@ def test_alphabet_declaration():
         Alphabet(("x", "x"))
     with pytest.raises(ValueError):
         Alphabet(())
+    # letter names have the shape of a symbol of the expression grammar
+    for name in ("1", "2x", "\u00e9", "x-y", ""):
+        with pytest.raises(ValueError, match="bad letter name"):
+            Alphabet(("x", name))
+    assert Alphabet.from_decl("_a > B9 > x_1").letters == ("x_1", "B9", "_a")
 
 
 def test_word_parsing_and_rendering():
