@@ -23,7 +23,7 @@ from .words import LETTER_NAME
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import expand, nlsw_decompose  # noqa: F401
 
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({LETTER_NAME})|([()+\-*/]))")
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({LETTER_NAME})|([()+\-*/]))")
 
 
 class ParseError(ValueError):

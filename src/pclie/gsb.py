@@ -12,6 +12,12 @@ share one code path.  Completion keeps a queue of the ambiguities still to
 check instead of starting over after each new rule: a reduction to zero
 rewrites only with rules that stay at the same index when rules are
 appended, so it stays zero and is never repeated.
+
+Every rewrite site is named as ``rules.Occurrence`` names it: host word,
+rule and position.  A reduction step records the word it rewrote and where
+the rule occurs in it, and an ambiguity records its witness and where g
+occurs in it (f always starts it), so a composition is the difference of
+two normal s-words on one host.
 """
 
 from __future__ import annotations
@@ -26,10 +32,11 @@ from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
 
 @dataclass(frozen=True)
 class Ambiguity:
-    """An overlap of two rule leading words.
+    """An overlap of two rule leading words at the witness w: f.leading
+    starts w and g.leading occurs in w at ``position``.
 
-    inclusion:    w = f.leading = a . g.leading . b
-    intersection: w = f.leading . b = a . g.leading, with a proper overlap
+    inclusion:    w = f.leading, and g.leading ends inside it
+    intersection: g.leading ends w, with a proper overlap
     """
 
     kind: str
@@ -38,21 +45,19 @@ class Ambiguity:
     f: Rule
     g: Rule
     w: Word
-    a: Word
-    b: Word
+    position: int
 
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One rewrite: the rule's leading word occurs in ``word`` at
+    ``position``."""
+
     rule_index: int | None  # None for rules built on demand
     rule: Rule
-    a: Word
-    b: Word
+    word: Word
+    position: int
     coefficient: object
-
-    @property
-    def word(self):
-        return self.a + self.rule.leading + self.b
 
 
 @dataclass
@@ -69,7 +74,7 @@ class ReductionTrace:
         the remainder."""
         acc = self.input
         for st in self.steps:
-            acc = acc - normal_s_word(st.a, st.rule, st.b).scale(st.coefficient)
+            acc = acc - normal_s_word(st.word, st.rule, st.position).scale(st.coefficient)
         return acc == self.remainder
 
 
@@ -88,27 +93,22 @@ def _pair_ambiguities(fi, f, gi, g, max_deg):
         for pos in _occurrences(fw.ranks, gw.ranks):
             if fi == gi and len(gw) == len(fw):
                 continue  # a rule inside itself at the same spot
-            a = fw[:pos]
-            b = fw[pos + len(gw) :]
-            ambs.append(Ambiguity("inclusion", fi, gi, f, g, fw, a, b))
-    # intersection: proper suffix of f.leading = proper prefix of
-    # g.leading; the glued word must itself be Lyndon-Shirshov
-    for t in range(1, min(len(fw), len(gw))):
+            ambs.append(Ambiguity("inclusion", fi, gi, f, g, fw, pos))
+    # intersection: a proper suffix of f.leading of length t = a proper
+    # prefix of g.leading; the glued word must itself be Lyndon-Shirshov
+    for t in range(max(1, len(fw) + len(gw) - max_deg), min(len(fw), len(gw))):
         if fw.ranks[len(fw) - t :] != gw.ranks[:t]:
             continue
-        w = fw + gw[t:]
-        if len(w) > max_deg or not is_alsw(w):
-            continue
-        a = fw[: len(fw) - t]
-        b = gw[t:]
-        ambs.append(Ambiguity("intersection", fi, gi, f, g, w, a, b))
+        w = Word(fw.alphabet, fw.ranks + gw.ranks[t:])
+        if is_alsw(w):
+            ambs.append(Ambiguity("intersection", fi, gi, f, g, w, len(fw) - t))
     return ambs
 
 
 def _ambiguity_key(m):
     """The ambiguity order: witness (deg-lex), then rule indices, kind and
     offset.  No two ambiguities of one rule list share a key."""
-    return (deglex_key(m.w), m.f_index, m.g_index, m.kind, len(m.a))
+    return (deglex_key(m.w), m.f_index, m.g_index, m.kind, m.position)
 
 
 def find_ambiguities(rules, max_deg):
@@ -126,16 +126,9 @@ def find_ambiguities(rules, max_deg):
 
 def composition(amb):
     """The composition polynomial of an ambiguity; zero or strictly below
-    the witness."""
-    if amb.kind == "inclusion":
-        result = amb.f.body - normal_s_word(amb.a, amb.g, amb.b)
-    elif amb.kind == "intersection":
-        empty = amb.w.alphabet.empty_word()
-        result = normal_s_word(empty, amb.f, amb.b) - normal_s_word(
-            amb.a, amb.g, empty
-        )
-    else:
-        raise ValueError(f"malformed ambiguity kind {amb.kind!r}")
+    the witness: the difference of the normal s-words of f and g at their
+    two occurrences in it.  For an inclusion the first is f.body."""
+    result = normal_s_word(amb.w, amb.f, 0) - normal_s_word(amb.w, amb.g, amb.position)
     if result:
         lead, _ = result.leading()
         if compare_deglex(lead, amb.w) != LESS:
@@ -169,10 +162,8 @@ def _rewrite(h, find, bound=None):
         ri, r, pos = hit
         if bound is not None and compare_deglex(w0, bound) != LESS:
             raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
-        a = w0[:pos]
-        b = w0[pos + len(r.leading) :]
-        steps.append(ReductionStep(ri, r, a, b, c0))
-        _axpy(work, -c0, normal_s_word(a, r, b).terms)
+        steps.append(ReductionStep(ri, r, w0, pos, c0))
+        _axpy(work, -c0, normal_s_word(w0, r, pos).terms)
     return ReductionTrace(input=h, steps=steps, remainder=LiePoly(h.alphabet, done))
 
 

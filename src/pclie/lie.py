@@ -55,17 +55,13 @@ def coeff_str(c):
 class LieTree:
     """A fully bracketed word: a leaf letter or an ordered pair of trees."""
 
-    __slots__ = ("word", "left", "right", "_hash", "_text")
+    __slots__ = ("word", "left", "right", "_text")
 
     def __init__(self, word, left, right):
         self.word = word
         self.left = left
         self.right = right
         self._text = None
-        if left is None:
-            self._hash = hash(("leaf", word))
-        else:
-            self._hash = hash((left._hash, right._hash))
 
     @classmethod
     def leaf(cls, alphabet, symbol):
@@ -96,7 +92,8 @@ class LieTree:
         return self.left == other.left and self.right == other.right
 
     def __hash__(self):
-        return self._hash
+        # equal trees have equal words
+        return hash(self.word)
 
     def __str__(self):
         # trees are immutable and share subtrees (through ``bracket``'s

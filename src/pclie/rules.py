@@ -5,6 +5,8 @@ word.  Rewriting a larger word around an occurrence of that leading word
 needs a bracketing of the host that isolates the occurrence; the special
 bracketing below provides it, and substituting the rule body into the
 isolated slot yields the normal s-word whose leading word is the host.
+Every rewrite site is named by host word, rule and position, as
+``Occurrence`` names it.
 A special bracketing is kept as the siblings along its slot path, and
 both its tree and the normal s-word are folds over them.  The
 substitution is evaluated in the Lyndon-Shirshov basis: the body is
@@ -171,13 +173,12 @@ def special_bracket(occ):
 
 
 @lru_cache(maxsize=None)
-def normal_s_word(a, s, b):
-    """The normal s-word (a s b): substitute the rule body into the special
-    bracketing of a.leading(s).b, which must be a Lyndon-Shirshov word.
-    The result leads with that word, coefficient 1."""
-    w = a + s.leading + b
-    occ = Occurrence(w, s.leading, len(a))  # validates the host
-    sb = special_bracket(occ)
+def normal_s_word(w, s, position):
+    """The normal s-word (a s b) with host w = a.leading(s).b, len(a) =
+    position: substitute the rule body into the special bracketing of w
+    at that occurrence.  w must be a Lyndon-Shirshov word.  The result
+    leads with w, coefficient 1."""
+    sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
     # each sibling is a canonical bracket: one basis element
     basis_sides = [(step, {sib.word: 1}) for step, sib in sb.sides]
     result = LiePoly(w.alphabet, _fold(basis_sides, s.body.terms, _bracket_terms))

@@ -108,17 +108,19 @@ class Alphabet:
 def _read_decl_file(text, kind, read_line):
     """Read a graph or rules file, '#' comments and blank lines dropped:
     the first line declares the alphabet, ``read_line(alphabet, line)``
-    reads each later one, and its errors name the line.  Returns both."""
+    reads each later one, and errors name the line.  Returns both."""
     alphabet, values = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line and alphabet is None:
-            alphabet = Alphabet.from_decl(line)
-        elif line:
-            try:
+        if not line:
+            continue
+        try:
+            if alphabet is None:
+                alphabet = Alphabet.from_decl(line)
+            else:
                 values.append(read_line(alphabet, line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if alphabet is None:
         raise ValueError(f"{kind} file has no alphabet declaration")
     return alphabet, values

@@ -149,10 +149,11 @@ def expand_with(sb, replacement):
     return _fold(expanded, replacement, commutator)
 
 
-def normal_s_word_by_expansion(a, s, b):
-    """The normal s-word (a s b) through the free associative algebra:
-    the substituted expansion of the special bracketing, decomposed."""
-    occ = Occurrence(a + s.leading + b, s.leading, len(a))
+def normal_s_word_by_expansion(w, s, position):
+    """The normal s-word of s at position in w through the free associative
+    algebra: the substituted expansion of the special bracketing,
+    decomposed."""
+    occ = Occurrence(w, s.leading, position)
     return nlsw_decompose(expand_with(special_bracket(occ), s.body.to_assoc()))
 
 

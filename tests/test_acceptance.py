@@ -120,7 +120,7 @@ def test_criterion_3_brute_force_quotient_oracle():
                                 w = a + s.leading + b
                                 if not is_alsw(w):
                                     continue
-                                red.add(normal_s_word(a, s, b).terms)
+                                red.add(normal_s_word(w, s, la).terms)
                 assert witt_count(k, deg) - red.rank == dims[deg - 1], (g, deg)
                 cases += 1
     report(

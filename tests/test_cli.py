@@ -112,6 +112,15 @@ def test_nf_bad_expression(capsys, theta):
     assert "position" in err
 
 
+def test_nf_refuses_non_ascii_digits(capsys, theta):
+    # a coefficient is ASCII digits only: an Arabic-Indic three is refused
+    path = theta("xy_yz.theta", XY_YZ)
+    code, out, err = run(capsys, "nf", "--theta", path, "--expr", "\u0663*(x z)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: position 0: unexpected character '\u0663'\n"
+
+
 def test_verify_ok(capsys, theta):
     path = theta("abelian2.theta", ABELIAN2)
     code, out, _ = run(capsys, "verify", "--theta", path, "--max-deg", "6")
@@ -241,7 +250,12 @@ def test_missing_file(capsys):
             "line 3: position 3: unknown symbol 'q'",
         ),
         # a letter the expression grammar could not name is refused up front
-        ("verify", "digit.theta", "x > 1\nx 1\n", "bad letter name '1'"),
+        ("verify", "digit.theta", "x > 1\nx 1\n", "line 1: bad letter name '1'"),
+        # so does an error in the alphabet declaration
+        (
+            "verify", "decl.theta", "# c\n\nx > > y\n",
+            "line 3: malformed alphabet declaration 'x > > y'",
+        ),
     ],
 )
 def test_file_format_errors(capsys, theta, command, name, text, message):

@@ -54,8 +54,7 @@ def test_find_ambiguities_examples():
     assert len(ambs2) == 1
     assert ambs2[0].kind == "inclusion"
     assert ambs2[0].w == A3.word("xzy")
-    assert ambs2[0].a == A3.empty_word()
-    assert ambs2[0].b == A3.word("y")
+    assert ambs2[0].position == 0
 
 
 def test_find_ambiguities_respects_bound_and_order():
@@ -68,7 +67,7 @@ def test_find_ambiguities_respects_bound_and_order():
 
 def test_composition_inclusion_of_own_normal_word_is_zero():
     g = single(A2, "xy")
-    f = Rule(normal_s_word(A2.word("x"), g, A2.empty_word()))  # leading xxy
+    f = Rule(normal_s_word(A2.word("xxy"), g, 1))  # leading xxy
     ambs = [a for a in find_ambiguities([f, g], 6) if a.kind == "inclusion"]
     assert any(composition(a).is_zero() for a in ambs)
 
@@ -213,7 +212,7 @@ def test_irr_count_plus_ideal_rank_fills_each_degree():
 
                         if not is_alsw(w):
                             continue
-                        red.add(normal_s_word(a, s, b).terms)
+                        red.add(normal_s_word(w, s, la).terms)
         assert witt_count(3, deg) - red.rank == dims[deg - 1]
 
 
@@ -286,8 +285,8 @@ def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
     calls = {}
     real = gsb.normal_s_word
 
-    def recording(a, s, b):
-        calls[a, s, b] = result = real(a, s, b)
+    def recording(w, s, position):
+        calls[w, s, position] = result = real(w, s, position)
         return result
 
     monkeypatch.setattr(gsb, "normal_s_word", recording)
@@ -304,8 +303,8 @@ def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
         complete(rules, d)
         if any(isinstance(c, Fraction) for r in rules for c in r.body.terms.values()):
             rational += len(calls) - before
-    for (a, s, b), result in calls.items():
-        assert result == normal_s_word_by_expansion(a, s, b), (a, s, b)
+    for (w, s, position), result in calls.items():
+        assert result == normal_s_word_by_expansion(w, s, position), (w, s, position)
     assert closure_calls >= 700
     assert len(calls) - closure_calls >= 120 and rational >= 100
 
@@ -356,7 +355,7 @@ def test_invariant_checks_fire_under_optimize():
     # both invariants used to be asserts, which python -O strips
     script = textwrap.dedent(
         """
-        import dataclasses
+        import pclie.gsb as gsb
         from pclie import (
             Alphabet, InvariantError, LiePoly, Rule, composition,
             find_ambiguities, normal_s_word,
@@ -370,13 +369,21 @@ def test_invariant_checks_fire_under_optimize():
         corrupt = Rule(LiePoly.basis(A3.word("xy")))
         corrupt.leading = A3.word("xyy")  # no longer the body's leading word
         try:
-            normal_s_word(A3.empty_word(), corrupt, A3.empty_word())
+            normal_s_word(A3.word("xyy"), corrupt, 0)
         except InvariantError:
             fired.append("normal_s_word")
 
+        # a doubled normal s-word of f: the witness no longer cancels
+        real = gsb.normal_s_word
+
+        def doubled(w, s, position):
+            nsw = real(w, s, position)
+            return nsw.scale(2) if s == xy else nsw
+
+        gsb.normal_s_word = doubled
         amb = find_ambiguities([xy, yz], 6)[0]
         try:
-            composition(dataclasses.replace(amb, w=A3.word("xz")))
+            composition(amb)
         except InvariantError:
             fired.append("composition")
         print(" ".join(fired))

@@ -273,7 +273,8 @@ def test_alphabets_of_one_size_keep_their_own_words():
                 check(al, tree_value(t), tree_value_by_expansion(t))
             if i < len(s_words):
                 a, body, b = s_words[i]
-                args = Word(al, a), rule(al, body), Word(al, b)
+                s = rule(al, body)
+                args = Word(al, a + s.leading.ranks + b), s, len(a)
                 check(al, normal_s_word(*args), normal_s_word_by_expansion(*args))
     assert sum(1 for r in results if r) > 800
 

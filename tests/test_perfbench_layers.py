@@ -73,7 +73,7 @@ def test_normal_s_word_calls_special_bracket_through_the_module_global(monkeypat
     al = Alphabet.from_decl("x > y")
     s = Rule(LiePoly.basis(al.word("xy")))
     # uncached, so an earlier call with the same arguments cannot hide it
-    rules.normal_s_word.__wrapped__(al.word("x"), s, al.word("y"))
+    rules.normal_s_word.__wrapped__(al.word("xxyy"), s, 1)
     assert len(seen) == 1
     assert isinstance(seen[0], Occurrence)
     assert seen[0] == Occurrence(al.word("xxyy"), al.word("xy"), 1)

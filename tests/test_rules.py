@@ -116,17 +116,16 @@ def test_special_bracket_exhaustive_leading_word():
 
 def test_normal_s_word_identity_case():
     s = Rule(LiePoly.basis(A2.word("xy")))
-    empty = A2.empty_word()
-    assert normal_s_word(empty, s, empty) == s.body
+    assert normal_s_word(A2.word("xy"), s, 0) == s.body
 
 
 def test_normal_s_word_examples():
     s = Rule(LiePoly.basis(A2.word("xy")))
-    left = normal_s_word(A2.word("x"), s, A2.empty_word())
+    left = normal_s_word(A2.word("xxy"), s, 1)
     assert left == lie_bracket(LiePoly.letter(A2, "x"), s.body)
     assert left.leading() == (A2.word("xxy"), 1)
 
-    right = normal_s_word(A2.empty_word(), s, A2.word("y"))
+    right = normal_s_word(A2.word("xyy"), s, 0)
     assert right.leading() == (A2.word("xyy"), 1)
 
 
@@ -155,21 +154,21 @@ def test_normal_s_word_builds_no_tree(monkeypatch):
                             continue
                         sb = special_bracket(Occurrence(w, s.leading, la))
                         if sb.tree != bracket(w):
-                            cases.append((a, s, b, normal_s_word_by_expansion(a, s, b)))
+                            cases.append((w, s, la, normal_s_word_by_expansion(w, s, la)))
     assert len(cases) > 10
 
     def no_tree(left, right):
         raise AssertionError("normal_s_word built a tree")
 
     monkeypatch.setattr(LieTree, "pair", no_tree)
-    for a, s, b, expected in cases:
-        assert normal_s_word.__wrapped__(a, s, b) == expected
+    for w, s, position, expected in cases:
+        assert normal_s_word.__wrapped__(w, s, position) == expected
 
 
 def test_normal_s_word_requires_lyndon_shirshov_host():
     s = Rule(LiePoly.basis(A2.word("xy")))
     with pytest.raises(ValueError, match="host .* is not a Lyndon-Shirshov word"):
-        normal_s_word(A2.word("y"), s, A2.empty_word())  # yxy is not one
+        normal_s_word(A2.word("yxy"), s, 1)  # yxy is not one
 
 
 def test_normal_s_word_leading_for_commutation_rules():
@@ -191,7 +190,7 @@ def test_normal_s_word_leading_for_commutation_rules():
                             w = a + s.leading + b
                             if not is_alsw(w):
                                 continue
-                            nsw = normal_s_word(a, s, b)
+                            nsw = normal_s_word(w, s, la)
                             assert nsw.leading() == (w, 1)
 
 
@@ -217,6 +216,6 @@ def test_normal_s_word_lies_in_the_ideal():
                     w = a + s.leading + b
                     if not is_alsw(w):
                         continue
-                    nsw = normal_s_word(a, s, b)
+                    nsw = normal_s_word(w, s, la)
                     vectors = [v.terms for v in spans[total]]
                     assert in_span(vectors, nsw.terms), str(w)
