@@ -5,7 +5,8 @@ and supports ``--format json``.  Exit codes: 0 success / verified,
 1 mathematical failure (rule set not closed, dimension mismatch),
 2 usage error (bad flags, files, or expressions) or an input nested too
 deep for the recursive tree algorithms (for example ``bracket`` on a
-word of a few hundred letters), reported as ``error: ... too deep``.
+word of about 500 letters), reported as ``error: ... too deep``.
+Printing a tree does not recurse: its text is made with the tree.
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ class LieTree:
         self.word = word
         self.left = left
         self.right = right
-        self._text = None
+        # children exist before their parent, so each node is rendered once
+        self._text = word[0] if left is None else f"({left._text} {right._text})"
 
     @classmethod
     def leaf(cls, alphabet, symbol):
@@ -81,29 +82,18 @@ class LieTree:
         return len(self.word)
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LieTree):
-            return False
-        if self.word != other.word:
-            return False
-        if self.left is None or other.left is None:
-            return self.left is None and other.left is None
-        return self.left == other.left and self.right == other.right
+        # the text spells out the bracketing; equal words share an alphabet
+        return (
+            isinstance(other, LieTree)
+            and self._text == other._text
+            and self.word == other.word
+        )
 
     def __hash__(self):
         # equal trees have equal words
         return hash(self.word)
 
     def __str__(self):
-        # trees are immutable and share subtrees (through ``bracket``'s
-        # cache, or within one ``irr_basis`` call), so each one is rendered
-        # once
-        if self._text is None:
-            if self.left is None:
-                self._text = self.word[0]
-            else:
-                self._text = f"({self.left} {self.right})"
         return self._text
 
     def __repr__(self):

@@ -315,10 +315,13 @@ def _alsw_ranks(k, max_len, ends_ok=None):
     extensions.  Each length comes out descending and is reversed.
 
     ``ends_ok(w, n)``, when given, says whether the list w of length n may
-    end with its last letter.  A refused word is neither kept nor extended
-    (the extension stops at it) and its last letter is stepped past, so a
-    test for "w now ends with a forbidden factor" keeps exactly the words
-    free of such factors.
+    end with its last letter; it is asked only of a word whose last letter
+    was just stepped down.  A refused word is neither kept nor extended
+    and its last letter is stepped past, so a test for "w now ends with a
+    forbidden factor" keeps exactly the words free of such factors when
+    each factor's first letter has a higher rank than its other letters
+    (as x u y does).  A factor completed by a periodic extension would
+    hold the prenecklace's first, highest letter at a later position.
     """
     levels = [[] for _ in range(max_len)]
     w, n = [k], 1
@@ -330,8 +333,6 @@ def _alsw_ranks(k, max_len, ends_ok=None):
             while n < max_len:
                 w.append(w[n - m])
                 n += 1
-                if ends_ok is not None and not ends_ok(w, n):
-                    break
         while w[-1] == 0:
             w.pop()
             n -= 1

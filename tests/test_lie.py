@@ -346,3 +346,22 @@ def test_cached_rendering_equals_the_recursive_rendering():
         t = bracket(u)
         assert str(t) == render(t)
         assert str(t) == render(t)  # the second call reads the cache
+
+
+def test_deep_trees_print_and_compare():
+    # a tree's text is made with the tree, and comparing two trees compares
+    # their texts, so neither printing nor equality recurses
+    x, y = LieTree.leaf(A2, "x"), LieTree.leaf(A2, "y")
+
+    def comb(t, depth):
+        for _ in range(depth):
+            t = LieTree.pair(t, y)
+        return t
+
+    t = comb(x, 1500)
+    assert str(t).count("(") == 1500
+    assert str(t).startswith("(" * 1500 + "x y) y)")
+    assert t == comb(x, 1500)
+    regrouped = comb(LieTree.pair(x, LieTree.pair(y, y)), 1498)
+    assert regrouped.word == t.word
+    assert regrouped != t

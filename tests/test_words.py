@@ -204,14 +204,18 @@ def test_enumerate_alsw_deep_degree():
 
 def test_alsw_ranks_prunes_exactly_the_words_with_a_forbidden_factor():
     # a test for "the word now ends with a forbidden factor" keeps the
-    # Lyndon-Shirshov words free of those factors, in deg-lex order.  Some
-    # factors here first appear in a periodic extension (xx after x),
-    # which the x u y patterns of a commutation graph never do
+    # Lyndon-Shirshov words free of those factors, in deg-lex order, when
+    # each factor's first letter has a higher rank than its other letters,
+    # as the x u y patterns of a commutation graph do
     lsw = [u.ranks for n in range(1, 8) for u in all_words(A3, n) if is_alsw_by_splits(u)]
     rng = random.Random(5)
-    for forbidden in [{(2, 2)}, {(1, 0, 1)}, {(2, 1, 2), (0, 0)}] + [
-        {tuple(rng.randrange(3) for _ in range(rng.randint(2, 4))) for _ in range(2)}
-        for _ in range(12)
+
+    def factor():
+        x = rng.randint(1, 2)
+        return (x,) + tuple(rng.randrange(x) for _ in range(rng.randint(1, 3)))
+
+    for forbidden in [{(2, 1)}, {(1, 0, 0)}, {(2, 0, 1), (1, 0)}, {(2, 1, 1, 0)}] + [
+        {factor() for _ in range(2)} for _ in range(12)
     ]:
 
         def ends_ok(w, n):
