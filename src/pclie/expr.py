@@ -14,7 +14,7 @@ form.  The zero element is written as a zero coefficient, e.g. "0*x".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lie import LiePoly, LieTree, tree_value
@@ -55,12 +55,11 @@ def _tokenize(text):
     return tokens
 
 
-@dataclass(frozen=True)
-class ExprAst:
-    """A parsed expression: signed rational multiples of bracketed trees."""
+class ExprAst(namedtuple("ExprAst", "alphabet parts")):
+    """A parsed expression: signed rational multiples of bracketed trees.
+    ``parts`` holds the (coefficient, LieTree) pairs in source order."""
 
-    alphabet: object
-    parts: tuple  # (coefficient, LieTree) pairs, in source order
+    __slots__ = ()
 
     def to_lie_poly(self):
         out = LiePoly.zero(self.alphabet)

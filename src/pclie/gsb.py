@@ -23,51 +23,39 @@ two normal s-words on one host.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .lie import LiePoly, _axpy
 from .rules import InvariantError, Rule, normal_s_word
 from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(namedtuple("Ambiguity", "kind f_index g_index f g w position")):
     """An overlap of two rule leading words at the witness w: f.leading
-    starts w and g.leading occurs in w at ``position``.
+    starts w and g.leading occurs in w at ``position``; f and g are the
+    rules at ``f_index`` and ``g_index``.
 
     inclusion:    w = f.leading, and g.leading ends inside it
     intersection: g.leading ends w, with a proper overlap
     """
 
-    kind: str
-    f_index: int
-    g_index: int
-    f: Rule
-    g: Rule
-    w: Word
-    position: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One rewrite: the rule's leading word occurs in ``word`` at
-    ``position``."""
+class ReductionStep(namedtuple("ReductionStep", "rule_index rule word position coefficient")):
+    """One rewrite: coefficient times the normal s-word of ``rule`` at its
+    occurrence in ``word`` at ``position``.  ``rule_index`` is None for
+    rules built on demand."""
 
-    rule_index: int | None  # None for rules built on demand
-    rule: Rule
-    word: Word
-    position: int
-    coefficient: object
+    __slots__ = ()
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(namedtuple("ReductionTrace", "input steps remainder")):
     """Record of one reduction: input = sum of steps + remainder, with the
-    step words strictly decreasing in deg-lex."""
+    step words strictly decreasing in deg-lex.  ``steps`` is a list of
+    ``ReductionStep``; input and remainder are ``LiePoly``."""
 
-    input: LiePoly
-    steps: list
-    remainder: LiePoly
+    __slots__ = ()
 
     def check_identity(self):
         """Exact soundness: input minus all applied normal s-words equals
@@ -185,14 +173,17 @@ def reduce(h, rules, bound=None):
     return _rewrite(h, find, bound)
 
 
-@dataclass
-class GsbReport:
-    """Outcome of a bounded composition check."""
+class GsbReport(namedtuple("GsbReport", "ok max_deg ambiguities_checked failures")):
+    """Outcome of a bounded composition check; ``failures`` lists the
+    (Ambiguity, remainder) pairs that did not reduce to zero, none by
+    default."""
 
-    ok: bool
-    max_deg: int
-    ambiguities_checked: int
-    failures: list = field(default_factory=list)  # (Ambiguity, remainder) pairs
+    __slots__ = ()
+
+    def __new__(cls, ok, max_deg, ambiguities_checked, failures=None):
+        return tuple.__new__(
+            cls, (ok, max_deg, ambiguities_checked, [] if failures is None else failures)
+        )
 
 
 def is_gsb(rules, max_deg):

@@ -13,7 +13,7 @@ Poincare-Birkhoff-Witt product formula.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .lie import LiePoly, LieTree, tree_value
@@ -169,14 +169,12 @@ def irr_words(graph, max_deg):
     return [Word(graph.alphabet, r) for r in _irr_ranks(graph, max_deg)]
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(namedtuple("GradedBasis", "graph max_degree by_degree")):
     """Basis trees of the quotient, graded by degree, with dimension
-    tallies per degree and per multidegree."""
+    tallies per degree and per multidegree: ``by_degree[d - 1]`` is the
+    tuple of basis trees of degree d over the ``CommGraph`` graph."""
 
-    graph: CommGraph
-    max_degree: int
-    by_degree: tuple
+    __slots__ = ()
 
     def dimensions(self):
         return [len(level) for level in self.by_degree]

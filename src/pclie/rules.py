@@ -16,7 +16,7 @@ a canonical bracket, so a single basis element; no tree is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,7 +24,7 @@ from .lie import LiePoly, LieTree, _bracket_terms, bracket, expand
 # commutator and nlsw_decompose are not called here (normal_s_word brackets
 # in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import commutator, nlsw_decompose  # noqa: F401
-from .words import Word, is_alsw, lyndon_factorize
+from .words import is_alsw, lyndon_factorize
 
 
 class InvariantError(ArithmeticError):
@@ -69,25 +69,21 @@ class Rule:
         return f"Rule({self.body})"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(namedtuple("Occurrence", "host sub position")):
     """A contiguous occurrence of a Lyndon-Shirshov word inside another:
     host = a . sub . b with len(a) = position."""
 
-    host: Word
-    sub: Word
-    position: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_alsw(self.host):
-            raise ValueError(f"host {self.host!r} is not a Lyndon-Shirshov word")
-        if not is_alsw(self.sub):
-            raise ValueError(f"subword {self.sub!r} is not a Lyndon-Shirshov word")
-        p, q = self.position, self.position + len(self.sub)
-        if p < 0 or q > len(self.host) or self.host.ranks[p:q] != self.sub.ranks:
-            raise ValueError(
-                f"{self.sub} does not occur in {self.host} at position {self.position}"
-            )
+    def __new__(cls, host, sub, position):
+        if not is_alsw(host):
+            raise ValueError(f"host {host!r} is not a Lyndon-Shirshov word")
+        if not is_alsw(sub):
+            raise ValueError(f"subword {sub!r} is not a Lyndon-Shirshov word")
+        q = position + len(sub)
+        if position < 0 or q > len(host) or host.ranks[position:q] != sub.ranks:
+            raise ValueError(f"{sub} does not occur in {host} at position {position}")
+        return tuple.__new__(cls, (host, sub, position))
 
 
 class SpecialBracketing:

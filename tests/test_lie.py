@@ -336,7 +336,7 @@ def test_rendering():
     assert str(t) == "(x (y z))"
 
 
-def test_cached_rendering_equals_the_recursive_rendering():
+def test_stored_text_equals_the_recursive_rendering():
     def render(t):
         if t.left is None:
             return t.word[0]
@@ -345,7 +345,7 @@ def test_cached_rendering_equals_the_recursive_rendering():
     for u in enumerate_alsw(A3, 8) + enumerate_alsw(A4, 8):
         t = bracket(u)
         assert str(t) == render(t)
-        assert str(t) == render(t)  # the second call reads the cache
+        assert str(t) == render(t)
 
 
 def test_deep_trees_print_and_compare():
