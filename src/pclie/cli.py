@@ -4,9 +4,9 @@ Every subcommand prints deterministically (deg-lex ordering throughout)
 and supports ``--format json``.  Exit codes: 0 success / verified,
 1 mathematical failure (rule set not closed, dimension mismatch),
 2 usage error (bad flags, files, or expressions) or an input nested too
-deep for the recursive tree algorithms (for example ``bracket`` on a
-word of about 500 letters), reported as ``error: ... too deep``.
-Printing a tree does not recurse: its text is made with the tree.
+deep for the recursive tree algorithms (an ``--expr`` nested about 980
+brackets deep), reported as ``error: ... too deep``.  ``bracket`` is one
+loop, and printing a tree does not recurse: its text is made with it.
 """
 
 from __future__ import annotations

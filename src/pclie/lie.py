@@ -102,14 +102,21 @@ class LieTree:
 
 @lru_cache(maxsize=None)
 def bracket(u):
-    """The canonical bracketing [u] of a Lyndon-Shirshov word, recursing on
-    the standard split."""
-    if len(u) == 0:
+    """The canonical bracketing [u] of a Lyndon-Shirshov word in one
+    right-to-left pass (Reutenauer, Free Lie Algebras, 1993, section 5):
+    the stack holds the bracketed factorization of the suffix read, first
+    factor on top, and a letter's tree takes the top tree while it is
+    greater, each pair a standard split.  u is Lyndon-Shirshov exactly
+    when one tree is left."""
+    stack = []
+    for i in range(len(u) - 1, -1, -1):
+        t = LieTree(u[i : i + 1], None, None)
+        while stack and _compare_ranks(t.word.ranks, stack[-1].word.ranks) == GREATER:
+            t = LieTree.pair(t, stack.pop())
+        stack.append(t)
+    if len(stack) != 1:
         raise ValueError(f"{u!r} is not a Lyndon-Shirshov word")
-    if len(u) == 1:
-        return LieTree(u, None, None)
-    v, w = standard_split(u)  # raises the same error for a non-LS word
-    return LieTree(u, bracket(v), bracket(w))
+    return stack[0]
 
 
 def is_nlsw(t):

@@ -6,12 +6,12 @@ needs a bracketing of the host that isolates the occurrence; the special
 bracketing below provides it, and substituting the rule body into the
 isolated slot yields the normal s-word whose leading word is the host.
 Every rewrite site is named by host word, rule and position, as
-``Occurrence`` names it.
-A special bracketing is kept as the siblings along its slot path, and
+``Occurrence`` names it.  A special bracketing is kept as the sibling
+words along its slot path, read off the standard splits of the host, and
 both its tree and the normal s-word are folds over them.  The
 substitution is evaluated in the Lyndon-Shirshov basis: the body is
-bracketed with each sibling in turn, deepest first, and every sibling is
-a canonical bracket, so a single basis element; no tree is built.
+bracketed with each sibling word in turn, deepest first, a single basis
+element each; no tree is built (trees only when ``tree`` is read).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .lie import LiePoly, LieTree, _bracket_terms, bracket, expand
 # commutator and nlsw_decompose are not called here (normal_s_word brackets
 # in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import commutator, nlsw_decompose  # noqa: F401
-from .words import is_alsw, lyndon_factorize
+from .words import _standard_cut, is_alsw, lyndon_factorize
 
 
 class InvariantError(ArithmeticError):
@@ -86,24 +86,20 @@ class Occurrence(namedtuple("Occurrence", "host sub position")):
         return tuple.__new__(cls, (host, sub, position))
 
 
-class SpecialBracketing:
+class SpecialBracketing(namedtuple("SpecialBracketing", "sides occurrence")):
     """A rebracketing of [host] around one occurrence of a subword.
 
     ``sides`` lists the (step, sibling) pairs along the slot path, root
     first: step 0 when the path goes left, 1 when it goes right, and the
-    sibling is the canonical bracket on the other side.  The tree pairs
-    the slot, the bracket of the subword, with each sibling in turn,
-    deepest first, and is built only when ``tree`` is read; its expansion
-    still leads with the host word, coefficient 1.  Substituting a Lie
-    polynomial for the slot and bracketing back up the path gives the
-    multilinear evaluation (``normal_s_word``).
+    sibling is the Lyndon-Shirshov word on the other side.  The tree
+    pairs the slot, the bracket of the subword, with each sibling's
+    bracket in turn, deepest first, and is built only when ``tree`` is
+    read; its expansion still leads with the host word, coefficient 1.
+    Substituting a Lie polynomial for the slot and bracketing back up the
+    path gives the multilinear evaluation (``normal_s_word``).
     """
 
-    __slots__ = ("sides", "occurrence")
-
-    def __init__(self, sides, occurrence):
-        self.sides = sides
-        self.occurrence = occurrence
+    __slots__ = ()
 
     @property
     def slot_path(self):
@@ -111,7 +107,8 @@ class SpecialBracketing:
 
     @property
     def tree(self):
-        return _fold(self.sides, self.slot(), LieTree.pair)
+        trees = [(step, bracket(sib)) for step, sib in self.sides]
+        return _fold(trees, self.slot(), LieTree.pair)
 
     def slot(self):
         return bracket(self.occurrence.sub)
@@ -137,22 +134,20 @@ def special_bracket(occ):
     [[[sub][c1]]...[ck]] with c1...ck the non-decreasing factorization
     of c.  The expansion of the result still leads with the host word.
     """
-    u, v = occ.host, occ.sub
-    p = occ.position
+    u, v, p = occ
     q = p + len(v)
 
-    # descend to the smallest subtree containing [p, q), recording the
-    # sibling beside each step; by the containment property it starts
-    # exactly at p
-    node, start, sides = bracket(u), 0, []
-    while node.left is not None:
-        mid = start + len(node.left.word)
+    # descend the standard splits to the smallest span [start, end) holding
+    # [p, q), noting each sibling word; by containment it starts at p
+    r, start, end, sides = u.ranks, 0, len(u), []
+    while end - start > 1:
+        mid = start + _standard_cut(r[start:end])
         if q <= mid:
-            sides.append((0, node.right))
-            node = node.left
+            sides.append((0, u[mid:end]))
+            end = mid
         elif p >= mid:
-            sides.append((1, node.left))
-            node, start = node.right, mid
+            sides.append((1, u[start:mid]))
+            start = mid
         else:
             break
     if start != p:
@@ -161,10 +156,9 @@ def special_bracket(occ):
             "the containment property failed"
         )
 
-    overhang = u[q : p + len(node.word)]
-    if len(overhang):
+    if q < end:
         # [ck] is the sibling nearest the root in [[[sub][c1]]...[ck]]
-        sides += [(0, bracket(c)) for c in reversed(lyndon_factorize(overhang))]
+        sides += [(0, c) for c in reversed(lyndon_factorize(u[q:end]))]
     return SpecialBracketing(sides, occ)
 
 
@@ -175,8 +169,8 @@ def normal_s_word(w, s, position):
     at that occurrence.  w must be a Lyndon-Shirshov word.  The result
     leads with w, coefficient 1."""
     sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
-    # each sibling is a canonical bracket: one basis element
-    basis_sides = [(step, {sib.word: 1}) for step, sib in sb.sides]
+    # each sibling is a Lyndon-Shirshov word: one basis element
+    basis_sides = [(step, {sib: 1}) for step, sib in sb.sides]
     result = LiePoly(w.alphabet, _fold(basis_sides, s.body.terms, _bracket_terms))
     lw, lc = result.leading()
     if lw != w or lc != 1:

@@ -129,7 +129,7 @@ def _read_decl_file(text, kind, read_line):
 class Word:
     """An immutable sequence of letters from one alphabet."""
 
-    __slots__ = ("alphabet", "ranks", "_hash")
+    __slots__ = ("alphabet", "ranks")
 
     def __init__(self, alphabet, ranks):
         t = tuple(ranks)
@@ -137,7 +137,6 @@ class Word:
             raise ValueError(f"letter rank out of range in {ranks!r}")
         self.alphabet = alphabet
         self.ranks = t
-        self._hash = hash((alphabet.letters, self.ranks))
 
     @property
     def letters(self):
@@ -145,9 +144,6 @@ class Word:
 
     def __len__(self):
         return len(self.ranks)
-
-    def __bool__(self):
-        return bool(self.ranks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -185,7 +181,8 @@ class Word:
         )
 
     def __hash__(self):
-        return self._hash
+        # words of two alphabets may share a hash but are never equal
+        return hash(self.ranks)
 
     def __str__(self):
         letters = self.alphabet.letters
@@ -299,8 +296,10 @@ def standard_split(u):
 def _standard_cut(r):
     """Where the standard split cuts the Lyndon-Shirshov rank tuple r, of
     length at least 2."""
-    # factor starts increase, so the largest is the last factor's
-    return 1 + max(a for a, _ in _factor_bounds(r[1:]))
+    # the last factor of r[1:] is the longest Lyndon-Shirshov suffix
+    for start, _ in _factor_bounds(r[1:]):
+        pass
+    return 1 + start
 
 
 def _alsw_ranks(k, max_len, ends_ok=None):

@@ -17,7 +17,9 @@ tree oracles (Shirshov's condition for canonical bracketings,
 substitution along a path by recursion, the special bracketing's tree by
 replacing one subtree of the host's bracket) reuse the library's
 ``is_alsw``, ``bracket``, ``expand`` and ``commutator`` and check only
-the tree logic built on them.
+the tree logic built on them.  ``bracket`` itself is checked against
+the recursion on standard splits, each split found by testing every
+suffix against its rotations (``bracket_by_standard_splits``).
 
 The Lie arithmetic of the engine brackets in the Lyndon-Shirshov basis
 directly.  Its oracles take the associative route instead: expand into
@@ -76,6 +78,15 @@ def is_alsw_by_rotations(u):
     if not r:
         raise ValueError("empty word")
     return all(r > r[k:] + r[:k] for k in range(1, len(r)))
+
+
+def bracket_by_standard_splits(u):
+    """The canonical bracketing by recursion on the standard split, the
+    longest proper suffix that passes ``is_alsw_by_rotations``."""
+    if len(u) == 1:
+        return LieTree(u, None, None)
+    cut = next(i for i in range(1, len(u)) if is_alsw_by_rotations(u[i:]))
+    return LieTree.pair(bracket_by_standard_splits(u[:cut]), bracket_by_standard_splits(u[cut:]))
 
 
 def is_nlsw_by_hall_condition(t):
@@ -144,8 +155,9 @@ def special_bracket_by_replacement(occ):
 def expand_with(sb, replacement):
     """The expansion of a special bracketing's tree with the slot's
     expansion replaced by the associative polynomial replacement: a fold
-    of ``commutator`` over the expanded siblings of the slot path."""
-    expanded = [(step, expand(sib)) for step, sib in sb.sides]
+    of ``commutator`` over the expanded brackets of the sibling words of
+    the slot path."""
+    expanded = [(step, expand(bracket(sib))) for step, sib in sb.sides]
     return _fold(expanded, replacement, commutator)
 
 

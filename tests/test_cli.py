@@ -75,20 +75,28 @@ def _stack_depth():
     return depth
 
 
-def test_bracket_too_deep_exits_2(capsys):
-    # the tree algorithms recurse about once per letter.  With the default
-    # limit it takes a word of about 600 letters to get there, which is
-    # under a second of work; a lowered limit shows the same path on 151
-    # letters
+def test_bracket_too_deep_exits_2(capsys, theta):
+    # the expression parser and the tree evaluation recurse once per level
+    # of nested brackets.  With the default limit it takes about 980 levels
+    # to get there; a lowered limit shows the same path on 150
+    path = theta("xz.theta", XZ)
+    expr = "(" * 150 + "x" + " y)" * 150
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        code, out, err = run(capsys, "bracket", "--alphabet", "x > y", "x" + "y" * 150)
+        code, out, err = run(capsys, "nf", "--theta", path, "--expr", expr)
     finally:
         sys.setrecursionlimit(old)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.rstrip().endswith("too deep")
+
+
+def test_bracket_of_a_long_word(capsys):
+    # bracket is one loop, so the word's length meets no recursion limit
+    code, out, err = run(capsys, "bracket", "--alphabet", "x > y", "x" + "y" * 600)
+    assert (code, err) == (0, "")
+    assert out == "(" * 600 + "x" + " y)" * 600 + "\n"
 
 
 def test_nf(capsys, theta):

@@ -28,6 +28,7 @@ from pclie import (
 from oracles import (
     SpanReducer,
     all_words,
+    bracket_by_standard_splits,
     is_nlsw_by_hall_condition,
     lie_bracket_by_expansion,
     normal_s_word_by_expansion,
@@ -67,6 +68,12 @@ def test_bracket_examples():
         bracket(A2.word("yx"))
     with pytest.raises(ValueError):
         bracket(A2.empty_word())
+
+
+def test_bracket_matches_the_standard_split_oracle():
+    for alphabet, max_deg in ((A2, 14), (A3, 9), (A4, 7)):
+        for u in enumerate_alsw(alphabet, max_deg):
+            assert bracket(u) == bracket_by_standard_splits(u), u
 
 
 def test_is_nlsw_examples():

@@ -20,6 +20,7 @@ from pclie import (
     ReductionStep,
     ReductionTrace,
     Rule,
+    SpecialBracketing,
     bracket,
 )
 from pclie.quotient import CommGraph
@@ -39,6 +40,9 @@ FIELDS = {
         rule_index=None, rule=F, word=A3.word("xxy"), position=1, coefficient=Fraction(3, 2)
     ),
     Occurrence: lambda: dict(host=A3.word("xyz"), sub=A3.word("yz"), position=1),
+    SpecialBracketing: lambda: dict(
+        sides=[(0, A3.word("z"))], occurrence=Occurrence(A3.word("xyz"), A3.word("xy"), 0)
+    ),
     ExprAst: lambda: dict(alphabet=A3, parts=((Fraction(-2), bracket(A3.word("xy"))),)),
     ReductionTrace: lambda: dict(input=P, steps=[], remainder=P),
     GsbReport: lambda: dict(ok=False, max_deg=5, ambiguities_checked=3, failures=[(1, P)]),

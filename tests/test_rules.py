@@ -11,12 +11,16 @@ from pclie import (
     Occurrence,
     Rule,
     bracket,
+    clear_caches,
+    complete,
     enumerate_alsw,
     expand,
     is_alsw,
+    is_gsb,
     leading_word,
     lie_bracket,
     normal_s_word,
+    pc_normal_form,
     special_bracket,
 )
 from pclie.quotient import CommGraph, generate_relations
@@ -77,14 +81,13 @@ def test_special_bracket_examples():
 
 
 def test_special_bracket_containment_failure_is_an_invariant_error(monkeypatch):
-    # [x [x y]] is the bracket of xxy; ((x x) y) has no subtree starting at
-    # the occurrence of xy at position 1
+    # [x [x y]] is the bracket of xxy; cutting it as ((x x) y) leaves no
+    # subtree starting at the occurrence of xy at position 1
     import pclie.rules
 
     u = A2.word("xxy")
-    x, y = (LieTree.leaf(A2, s) for s in "xy")
-    wrong = LieTree.pair(LieTree.pair(x, x), y)
-    monkeypatch.setattr(pclie.rules, "bracket", lambda w: wrong if w == u else bracket(w))
+    cut = pclie.rules._standard_cut
+    monkeypatch.setattr(pclie.rules, "_standard_cut", lambda r: 2 if r == u.ranks else cut(r))
     with pytest.raises(InvariantError, match="containment"):
         special_bracket(Occurrence(u, A2.word("xy"), 1))
 
@@ -157,12 +160,27 @@ def test_normal_s_word_builds_no_tree(monkeypatch):
                             cases.append((w, s, la, normal_s_word_by_expansion(w, s, la)))
     assert len(cases) > 10
 
-    def no_tree(left, right):
+    def no_tree(*args):
         raise AssertionError("normal_s_word built a tree")
 
-    monkeypatch.setattr(LieTree, "pair", no_tree)
+    monkeypatch.setattr(LieTree, "__init__", no_tree)
     for w, s, position, expected in cases:
         assert normal_s_word.__wrapped__(w, s, position) == expected
+
+
+def test_the_engine_fills_no_bracket_cache():
+    # completion, the closure check and normal forms rewrite through normal
+    # s-words, which are built from sibling words, never from trees
+    clear_caches()
+    rules = [Rule(LiePoly.basis(A3.word(w))) for w in ("xy", "yz")]
+    assert len(complete(rules, 5)) > len(rules)
+    g = CommGraph(A3, [("x", "y"), ("y", "z")])
+    assert is_gsb(generate_relations(g, 6), 6).ok
+    x, y, z = (LieTree.leaf(A3, s) for s in "xyz")
+    tree = LieTree.pair(LieTree.pair(x, z), LieTree.pair(y, LieTree.pair(x, y)))
+    pc_normal_form(tree, g)
+    assert normal_s_word.cache_info().currsize > 0
+    assert bracket.cache_info().currsize == 0
 
 
 def test_normal_s_word_requires_lyndon_shirshov_host():
