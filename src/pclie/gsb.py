@@ -17,7 +17,9 @@ Every rewrite site is named as ``rules.Occurrence`` names it: host word,
 rule and position.  A reduction step records the word it rewrote and where
 the rule occurs in it, and an ambiguity records its witness and where g
 occurs in it (f always starts it), so a composition is the difference of
-two normal s-words on one host.
+two normal s-words on one host.  A rule pair's ambiguities come from one
+scan over the start positions of g.leading in f.leading, the kind decided
+by where g ends.
 """
 
 from __future__ import annotations
@@ -66,30 +68,22 @@ class ReductionTrace(namedtuple("ReductionTrace", "input steps remainder")):
         return acc == self.remainder
 
 
-def _occurrences(host_ranks, sub_ranks):
-    n, k = len(host_ranks), len(sub_ranks)
-    return [i for i in range(n - k + 1) if host_ranks[i : i + k] == sub_ranks]
-
-
 def _pair_ambiguities(fi, f, gi, g, max_deg):
-    """The inclusion and intersection ambiguities of the ordered rule pair
-    (f, g) with witness length at most max_deg, unsorted."""
+    """The ambiguities of the ordered rule pair (f, g) with witness length
+    at most max_deg, unsorted; g.leading starts at i in f.leading."""
     ambs = []
-    fw, gw = f.leading, g.leading
-    # inclusion: g.leading inside f.leading
-    if len(fw) <= max_deg and len(gw) <= len(fw):
-        for pos in _occurrences(fw.ranks, gw.ranks):
-            if fi == gi and len(gw) == len(fw):
-                continue  # a rule inside itself at the same spot
-            ambs.append(Ambiguity("inclusion", fi, gi, f, g, fw, pos))
-    # intersection: a proper suffix of f.leading of length t = a proper
-    # prefix of g.leading; the glued word must itself be Lyndon-Shirshov
-    for t in range(max(1, len(fw) + len(gw) - max_deg), min(len(fw), len(gw))):
-        if fw.ranks[len(fw) - t :] != gw.ranks[:t]:
-            continue
-        w = Word(fw.alphabet, fw.ranks + gw.ranks[t:])
-        if is_alsw(w):
-            ambs.append(Ambiguity("intersection", fi, gi, f, g, w, len(fw) - t))
+    fr, gr = f.leading.ranks, g.leading.ranks
+    n, k = len(fr), len(gr)
+    for i in range(n):
+        if i + k <= n:
+            # inclusion, but not a rule inside itself at the same spot
+            if n <= max_deg and fr[i : i + k] == gr and (i or fi != gi):
+                ambs.append(Ambiguity("inclusion", fi, gi, f, g, f.leading, i))
+        elif i and i + k <= max_deg and fr[i:] == gr[: n - i]:
+            # intersection: the glued word must itself be Lyndon-Shirshov
+            w = Word(f.leading.alphabet, fr + gr[n - i :])
+            if is_alsw(w):
+                ambs.append(Ambiguity("intersection", fi, gi, f, g, w, i))
     return ambs
 
 
@@ -164,10 +158,13 @@ def reduce(h, rules, bound=None):
     """
 
     def find(w):
+        wr = w.ranks
         for ri, r in enumerate(rules):
-            occ = _occurrences(w.ranks, r.leading.ranks)
-            if occ:
-                return ri, r, occ[0]
+            lr = r.leading.ranks
+            k = len(lr)
+            for i in range(len(wr) - k + 1):
+                if wr[i : i + k] == lr:
+                    return ri, r, i
         return None
 
     return _rewrite(h, find, bound)

@@ -149,16 +149,19 @@ class _Poly:
 
     def __init__(self, alphabet, terms=()):
         data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for w, c in items:
+        pairs = not isinstance(terms, dict)
+        for w, c in terms if pairs else terms.items():
             if w.alphabet != alphabet:
                 raise ValueError("mixed alphabets in polynomial")
             self._check_word(w)
+            # a pair list may repeat a word, which then has no one coefficient
+            if pairs and w in data:
+                raise ValueError(f"repeated word {w} in polynomial terms")
             c = _coeff(c)
-            if c:
+            if c or pairs:
                 data[w] = c
         self.alphabet = alphabet
-        self.terms = data
+        self.terms = {w: c for w, c in data.items() if c} if pairs else data
 
     @staticmethod
     def _check_word(w):

@@ -7,6 +7,9 @@ necklace-count formula, and linear algebra is plain fraction-exact
 Gaussian elimination.  Completion is the one exception: its oracle is the
 plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
+Ambiguities are read off candidate witnesses, the words that pass
+``is_alsw_by_splits`` and start with one leading word
+(``ambiguities_by_definition``), not off overlaps of two leading words.
 Pattern-free basis words are found by screening a word list against the
 definition of the patterns, read off the graph's edges with rank
 comparisons only.  The list comes from ``_mirrored_lyndon_ranks``, the
@@ -36,6 +39,7 @@ from fractions import Fraction
 
 from pclie import (
     GREATER,
+    Ambiguity,
     LieTree,
     Occurrence,
     Rule,
@@ -318,6 +322,36 @@ def complete_by_restart(rules, max_deg):
         if new_rule is None:
             return current
         current.append(new_rule)
+
+
+def ambiguities_by_definition(rules, max_deg):
+    """Every ambiguity of the rule list with witness length <= max_deg,
+    found from candidate witnesses rather than from overlaps: each word of
+    length <= max_deg that passes ``is_alsw_by_splits`` and starts with
+    f.leading.  It is an inclusion witness of (f, g) when it is f.leading
+    and g.leading occurs in it (f itself not at 0), and an intersection
+    witness when it is longer and g.leading ends it, starting strictly
+    inside f.leading.  Words come in deg-lex order and the loops run by
+    rule indices, kind and position, so the list is in ambiguity order."""
+    out = []
+    if not rules:
+        return out
+    alphabet = rules[0].leading.alphabet
+    for n in range(1, max_deg + 1):
+        for w in filter(is_alsw_by_splits, all_words(alphabet, n)):
+            for fi, f in enumerate(rules):
+                fr = f.leading.ranks
+                if w.ranks[: len(fr)] != fr:
+                    continue
+                for gi, g in enumerate(rules):
+                    gr = g.leading.ranks
+                    if n == len(fr):
+                        for p in range(n - len(gr) + 1):
+                            if w.ranks[p : p + len(gr)] == gr and (p or fi != gi):
+                                out.append(Ambiguity("inclusion", fi, gi, f, g, w, p))
+                    elif 0 < n - len(gr) < len(fr) and w.ranks[n - len(gr) :] == gr:
+                        out.append(Ambiguity("intersection", fi, gi, f, g, w, n - len(gr)))
+    return out
 
 
 def _mirrored_lyndon_ranks(k, max_len):

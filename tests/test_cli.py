@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -145,6 +146,24 @@ def test_verify_json(capsys, theta):
     assert code == 0
     assert rec["ok"] is True
     assert rec["failures"] == []
+
+
+REFERENCE = "x > y > z > w\nx y\nx z\ny z\nz w\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "--format", "json"], "b0bee4544df736ce634ec6b8f27c6405"),
+        (["basis", "--cross-check"], "830956792d596d0a103097f144a12447"),
+    ],
+)
+def test_reference_outputs_keep_their_digests(capsys, theta, argv, digest):
+    # the whole degree-12 output on the reference graph, byte for byte
+    path = theta("reference.theta", REFERENCE)
+    code, out, err = run(capsys, *argv, "--theta", path, "--max-deg", "12")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_basis_dims_only(capsys, theta):

@@ -15,6 +15,7 @@ from pclie import (
     Rule,
     complete,
     composition,
+    deglex_key,
     enumerate_alsw,
     find_ambiguities,
     is_gsb,
@@ -26,6 +27,7 @@ from pclie.quotient import CommGraph, generate_relations, graded_dimensions
 
 from oracles import (
     SpanReducer,
+    ambiguities_by_definition,
     complete_by_restart,
     normal_s_word_by_expansion,
     witt_count,
@@ -63,6 +65,50 @@ def test_find_ambiguities_respects_bound_and_order():
     ws = [str(a.w) for a in ambs]
     assert ws == sorted(ws, key=lambda t: (len(t), [A3.rank(c) for c in t]))
     assert all(len(a.w) <= 4 for a in find_ambiguities(rules, 4))
+
+
+def ambiguity_cases():
+    """(rules, max_deg) inputs of the ambiguity checks: the relations of
+    all 8 graphs on x > y > z, and seeded random rule sets over x > y > z
+    in which two rules share a leading word."""
+    cases = [
+        (generate_relations(CommGraph(A3, edges), 6), 6)
+        for k in range(4)
+        for edges in itertools.combinations([("x", "y"), ("x", "z"), ("y", "z")], k)
+    ]
+    rng = random.Random(67)
+    alsw = enumerate_alsw(A3, 4)
+    words = [w for w in alsw if len(w) >= 2]
+    for _ in range(40):
+        rules = [Rule(LiePoly.basis(w)) for w in rng.sample(words, rng.randint(3, 6))]
+        # a second rule leading with the same word, and a lower word beside it
+        lead = rules[rng.randrange(len(rules))].leading
+        lower = [w for w in alsw if deglex_key(w) < deglex_key(lead)]
+        twin = Rule(LiePoly(A3, {lead: 1, rng.choice(lower): 3}))
+        rules.insert(rng.randint(0, len(rules)), twin)
+        cases.append((rules, rng.randint(5, 6)))
+    return cases
+
+
+def test_find_ambiguities_matches_the_definition():
+    # the list is compared whole: order, kinds, indices, rules, witnesses
+    # and positions
+    seen = {"inclusion": 0, "intersection": 0, "shared leading word": 0}
+    for rules, d in ambiguity_cases():
+        ambs = find_ambiguities(rules, d)
+        assert ambs == ambiguities_by_definition(rules, d)
+        for m in ambs:
+            seen[m.kind] += 1
+            seen["shared leading word"] += m.f_index != m.g_index and m.f.leading == m.g.leading
+    assert min(seen.values()) >= 40 and seen["intersection"] > 100, seen
+
+
+def test_reduce_rewrites_the_lowest_index_rule_at_its_leftmost_occurrence():
+    # xz occurs first in xzyzyz, but yz is rule 0, and it occurs at 2 and 4
+    w = A3.word("xzyzyz")
+    tr = reduce(LiePoly.basis(w), [single(A3, "yz"), single(A3, "xz")])
+    st = tr.steps[0]
+    assert (st.rule_index, st.rule, st.word, st.position) == (0, single(A3, "yz"), w, 2)
 
 
 def test_composition_inclusion_of_own_normal_word_is_zero():

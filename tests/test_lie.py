@@ -343,6 +343,18 @@ def test_rendering():
     assert str(t) == "(x (y z))"
 
 
+def test_a_repeated_word_in_a_term_list_is_refused():
+    # a pair list that repeats a word gives it no one coefficient (the sum?
+    # the last one?), so it is refused whatever the coefficients; a dict
+    # cannot repeat a word
+    xz = A3.word("xz")
+    for cls, w in ((LiePoly, A3.word("xy")), (AssocPoly, A3.word("yx"))):
+        for a, b in ((1, -1), (1, 2), (5, 0), (0, 5)):
+            with pytest.raises(ValueError, match=f"repeated word {w} "):
+                cls(A3, [(w, a), (xz, 1), (w, b)])
+        assert cls(A3, [(w, 2), (xz, 0)]).terms == cls(A3, {w: 2, xz: 0}).terms == {w: 2}
+
+
 def test_stored_text_equals_the_recursive_rendering():
     def render(t):
         if t.left is None:
