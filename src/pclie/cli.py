@@ -7,6 +7,8 @@ and supports ``--format json``.  Exit codes: 0 success / verified,
 deep for the recursive tree algorithms (an ``--expr`` nested about 980
 brackets deep), reported as ``error: ... too deep``.  ``bracket`` is one
 loop, and printing a tree does not recurse: its text is made with it.
+``basis`` lists the texts of the basis brackets, folded without a tree
+or a word per listed element; each word is read off its tree's text.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from .lie import bracket, coeff_str
 from .quotient import (
     CommGraph,
     assoc_hilbert_series,
+    basis_texts,
     clique_series_dims,
     generate_relations,
     graded_dimensions,
-    irr_basis,
     pc_normal_form,
 )
+# irr_basis is not called here (basis prints basis_texts), but
+# perfbench/layers.py wraps this binding
+from .quotient import irr_basis  # noqa: F401
 from .rules import Rule
 from .words import Alphabet, _read_decl_file, enumerate_alsw, is_alsw, lyndon_factorize
 
@@ -167,19 +172,25 @@ def cmd_basis(args):
         # the trees are never printed, so only the words are counted
         dims = graded_dimensions(graph, args.max_deg)
     else:
-        basis = irr_basis(graph, args.max_deg)
-        dims = basis.dimensions()
+        levels = basis_texts(graph, args.max_deg)
+        dims = [len(level) for level in levels]
+        # a word is its tree's text without the brackets (a letter name
+        # holds neither brackets nor spaces), and without the spaces too
+        # when every letter is one character, as words print
+        drop = str.maketrans("", "", "() " if graph.alphabet._compact else "()")
         # list the elements only in the format that is printed
         if args.format == "json":
             record["elements"] = [
-                {"degree": len(t.word), "word": str(t.word), "tree": str(t)}
-                for level in basis.by_degree
+                {"degree": d, "word": t.translate(drop), "tree": t}
+                for d, level in enumerate(levels, 1)
                 for t in level
             ]
         else:
-            for degree in range(1, args.max_deg + 1):
-                for tree in basis.trees(degree):
-                    lines.append(f"{degree}\t{tree.word}\t{tree}")
+            lines = [
+                f"{d}\t{t.translate(drop)}\t{t}"
+                for d, level in enumerate(levels, 1)
+                for t in level
+            ]
     record["dimensions"] = dims
     lines.append(" ".join(f"{d+1}:{n}" for d, n in enumerate(dims)))
     exit_code = 0

@@ -416,9 +416,20 @@ def _bracket_terms(p, q):
 
 
 def _tree_terms(t):
-    if t.left is None:
-        return {t.word: 1}
-    return _bracket_terms(_tree_terms(t.left), _tree_terms(t.right))
+    # post-order over an explicit stack, so any depth works: None marks
+    # the point where a pair's two children have their values on the
+    # value stack; a subtree met twice is simply evaluated twice
+    values, todo = [], [t]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            right = values.pop()
+            values[-1] = _bracket_terms(values[-1], right)
+        elif node.left is None:
+            values.append({node.word: 1})
+        else:
+            todo += (None, node.right, node.left)
+    return values[0]
 
 
 def tree_value(t):

@@ -7,7 +7,9 @@ dominates every letter of u, and domination means greater-and-commuting.
 Basis words of the quotient are the Lyndon-Shirshov words avoiding every
 such pattern as a contiguous factor; an independent dimension count comes
 from the clique polynomial of the graph through the
-Poincare-Birkhoff-Witt product formula.
+Poincare-Birkhoff-Witt product formula.  One walk over those words folds
+their canonical brackets: into trees (``irr_basis``) or into the trees'
+texts alone (``basis_texts``, what the CLI prints).
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from collections import namedtuple
 from functools import partial
 
 from .lie import LiePoly, LieTree, tree_value
-# bracket, expand and nlsw_decompose are not called here (irr_basis builds
-# each tree from two earlier ones, and a tree is evaluated in the
-# Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
+# bracket, expand and nlsw_decompose are not called here (the basis walk
+# builds each tree or text from two earlier ones, and a tree is evaluated
+# in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these
+# bindings
 from .lie import bracket, expand, nlsw_decompose  # noqa: F401
 from .rules import Rule
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import normal_s_word  # noqa: F401
 from .words import Word, _alsw_ranks, _read_decl_file, deglex_key
-# enumerate_alsw is not called here either (irr_words runs the pruned
+# enumerate_alsw is not called here either (the basis walk runs the pruned
 # generator), but perfbench/layers.py wraps this binding too
 from .words import enumerate_alsw  # noqa: F401
 from . import gsb
@@ -150,11 +153,11 @@ def _irr_ranks(graph, max_deg):
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     below = graph._below
-    return _alsw_ranks(
-        len(graph.alphabet.letters),
-        max_deg,
-        lambda w, n: _pattern_start(below, w, n - 1) is None,
+    # where no letter dominates another there is no pattern to test for
+    ends_ok = (
+        (lambda w, n: _pattern_start(below, w, n - 1) is None) if any(below) else None
     )
+    return _alsw_ranks(len(graph.alphabet.letters), max_deg, ends_ok)
 
 
 def irr_words(graph, max_deg):
@@ -191,31 +194,60 @@ class GradedBasis(namedtuple("GradedBasis", "graph max_degree by_degree")):
         return self.by_degree[degree - 1]
 
 
-def irr_basis(graph, max_deg):
-    """The graded basis: canonical brackets of the pattern-free words.
+def _fold_basis(graph, max_deg, leaf, pair):
+    """Fold the canonical brackets of the pattern-free words: the value
+    of a word u is ``leaf(u)`` for a letter and ``pair(u, left, right)``
+    for a longer word, with the values of the two halves of its standard
+    split, u a rank tuple.  Returns the values per degree, deg-lex
+    ascending in each.
 
-    Each tree is built from two trees built before it, found by rank tuple
-    in a table that lives for this call only.  The words come shortest
-    first, and every factor of a pattern-free word is pattern-free, so
-    every proper Lyndon-Shirshov suffix of a word is in the table when the
-    word comes up.  The right half of the standard split is the longest of
-    them: the first suffix found walking in from the left, and the prefix
-    it leaves is again a pattern-free Lyndon-Shirshov word.
+    The values are kept by rank tuple in a table that lives for this call
+    only.  The words come shortest first, and every factor of a
+    pattern-free word is pattern-free, so every proper Lyndon-Shirshov
+    suffix of a word is in the table when the word comes up.  The right
+    half of the standard split is the longest of them: the first suffix
+    found walking in from the left, and the prefix it leaves is again a
+    pattern-free Lyndon-Shirshov word.
     """
     levels = [[] for _ in range(max_deg)]
-    trees = {}
-    for u in irr_words(graph, max_deg):
-        r = u.ranks
+    values = {}
+    for r in _irr_ranks(graph, max_deg):
         if len(r) == 1:
-            t = LieTree(u, None, None)
+            value = leaf(r)
         else:
             cut = 1
-            while r[cut:] not in trees:
+            while r[cut:] not in values:
                 cut += 1
-            t = LieTree(u, trees[r[:cut]], trees[r[cut:]])
-        trees[r] = t
-        levels[len(r) - 1].append(t)
+            value = pair(r, values[r[:cut]], values[r[cut:]])
+        values[r] = value
+        levels[len(r) - 1].append(value)
+    return levels
+
+
+def irr_basis(graph, max_deg):
+    """The graded basis: canonical brackets of the pattern-free words,
+    each tree built from two trees built before it (``_fold_basis``)."""
+    alphabet = graph.alphabet
+    levels = _fold_basis(
+        graph,
+        max_deg,
+        lambda r: LieTree(Word(alphabet, r), None, None),
+        lambda r, left, right: LieTree(Word(alphabet, r), left, right),
+    )
     return GradedBasis(graph, max_deg, tuple(tuple(l) for l in levels))
+
+
+def basis_texts(graph, max_deg):
+    """The texts of the ``irr_basis`` trees, by the same walk with one
+    string per word and no tree or word built: a list per degree
+    1..max_deg, deg-lex ascending in each."""
+    letters = graph.alphabet.letters
+    return _fold_basis(
+        graph,
+        max_deg,
+        lambda r: letters[r[0]],
+        lambda r, left, right: f"({left} {right})",
+    )
 
 
 def graded_dimensions(graph, max_deg):

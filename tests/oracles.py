@@ -16,7 +16,10 @@ comparisons only.  The list comes from ``_mirrored_lyndon_ranks``, the
 same Duval loop as the library's generator but without its pattern test,
 so it checks the pruning; the tests also screen ``all_words`` filtered by
 ``is_alsw_by_splits``, which shares no generator code with either.  The
-tree oracles (Shirshov's condition for canonical bracketings,
+CLI's basis listing, read off bracket texts, is checked against the
+listing printed from the ``irr_basis`` trees and their words
+(``basis_listing_from_trees``).  The tree oracles (Shirshov's condition
+for canonical bracketings,
 substitution along a path by recursion, the special bracketing's tree by
 replacing one subtree of the host's bracket) reuse the library's
 ``is_alsw``, ``bracket``, ``expand`` and ``commutator`` and check only
@@ -51,6 +54,7 @@ from pclie import (
     deglex_key,
     expand,
     find_ambiguities,
+    irr_basis,
     is_alsw,
     nlsw_decompose,
     reduce,
@@ -398,6 +402,16 @@ def irr_words_by_screening(graph, max_deg):
         u
         for u in words
         if next(pattern_spans_by_definition(graph, u.ranks), None) is None
+    ]
+
+
+def basis_listing_from_trees(graph, max_deg):
+    """The text lines of ``pclie basis`` before the dimensions, read off the
+    ``irr_basis`` trees: degree, word and tree, each printed by its own
+    object."""
+    basis = irr_basis(graph, max_deg)
+    return [
+        f"{d}\t{t.word}\t{t}" for d in range(1, max_deg + 1) for t in basis.trees(d)
     ]
 
 

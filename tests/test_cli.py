@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 
@@ -156,6 +157,7 @@ REFERENCE = "x > y > z > w\nx y\nx z\ny z\nz w\n"
     [
         (["verify", "--format", "json"], "b0bee4544df736ce634ec6b8f27c6405"),
         (["basis", "--cross-check"], "830956792d596d0a103097f144a12447"),
+        (["basis", "--format", "json"], "696c4c61fe4174fca583552d442fb695"),
     ],
 )
 def test_reference_outputs_keep_their_digests(capsys, theta, argv, digest):
@@ -200,6 +202,63 @@ def test_basis_lists_multi_character_letters(capsys, theta):
     assert lines[:-1] == [f"{len(w)}\t{w}\t{bracket(w)}" for w in words]
     assert "3\tx2 x1 x0\t(x2 (x1 x0))" in lines
     assert lines[-1] == "1:3 2:2 3:5 4:10 5:24"
+
+
+def basis_graphs():
+    # every graph on four one-character letters, and on two alphabets with
+    # multi-character letters, whose words print with spaces
+    for decl in ("x > y > z > w", "x2 > x1 > x0", "ab > c > d"):
+        letters = [s.strip() for s in decl.split(">")]
+        pairs = list(itertools.combinations(letters, 2))
+        for n in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, n):
+                yield decl + "\n" + "".join(f"{a} {b}\n" for a, b in edges)
+
+
+def test_basis_listing_matches_the_trees(capsys, theta):
+    from oracles import basis_listing_from_trees
+    from pclie.quotient import CommGraph, basis_texts, irr_basis
+
+    texts = list(basis_graphs())
+    assert len(texts) == 64 + 8 + 8
+    for text in texts:
+        graph = CommGraph.parse(text)
+        want = basis_listing_from_trees(graph, 6)
+        trees = irr_basis(graph, 6).by_degree
+        assert basis_texts(graph, 6) == [[str(t) for t in level] for level in trees]
+        path = theta("graph.theta", text)
+        code, out, _ = run(capsys, "basis", "--theta", path, "--max-deg", "6")
+        assert code == 0
+        assert out.splitlines()[:-1] == want
+        argv = ["basis", "--theta", path, "--max-deg", "6", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        listed = [
+            f"{e['degree']}\t{e['word']}\t{e['tree']}"
+            for e in json.loads(out)["elements"]
+        ]
+        assert listed == want
+
+
+def test_basis_builds_no_tree_or_word(capsys, theta, monkeypatch):
+    # the listing folds texts: no tree and no word is built, for the
+    # elements or for anything else
+    from pclie import LieTree, Word
+
+    path = theta("xy_yz.theta", XY_YZ)
+    calls = [
+        ["basis", "--theta", path, "--max-deg", "7", "--cross-check", "--format", fmt]
+        for fmt in ("text", "json")
+    ]
+    outputs = [run(capsys, *argv) for argv in calls]
+    assert "3\txxz\t(x (x z))\n" in outputs[0][1]
+
+    def refuse(*args):
+        raise AssertionError("basis built a tree or a word")
+
+    monkeypatch.setattr(LieTree, "__init__", refuse)
+    monkeypatch.setattr(Word, "__init__", refuse)
+    assert [run(capsys, *argv) for argv in calls] == outputs
 
 
 def test_basis_deep_degree_on_the_abelian_graph(capsys, theta):

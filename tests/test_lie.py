@@ -384,3 +384,17 @@ def test_deep_trees_print_and_compare():
     regrouped = comb(LieTree.pair(x, LieTree.pair(y, y)), 1498)
     assert regrouped.word == t.word
     assert regrouped != t
+
+
+def test_tree_value_of_a_deep_tree():
+    # bracket(x y^3000) is a comb 3000 levels deep, far past the recursion
+    # limit; its value is the one basis element
+    w = A2.word("x" + "y" * 3000)
+    assert tree_value(bracket(w)) == LiePoly.basis(w)
+    # a subtree shared by two parents is evaluated at each place
+    x, y = leaf(A2, "x"), leaf(A2, "y")
+    xy = pair(x, y)
+    shared = pair(pair(xy, y), pair(x, xy))
+    assert shared.right.right is shared.left.left
+    assert tree_value(shared) == tree_value_by_expansion(shared)
+    clear_caches()
