@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 from collections import namedtuple
 
-from .lie import LiePoly, _axpy
+from .lie import _axpy
 from .rules import InvariantError, Rule, normal_s_word
 from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
 
@@ -146,7 +146,7 @@ def _rewrite(h, find, bound=None):
             raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
         steps.append(ReductionStep(ri, r, w0, pos, c0))
         _axpy(work, -c0, normal_s_word(w0, r, pos).terms)
-    return ReductionTrace(input=h, steps=steps, remainder=LiePoly(h.alphabet, done))
+    return ReductionTrace(input=h, steps=steps, remainder=h._make(done))
 
 
 def reduce(h, rules, bound=None):

@@ -139,29 +139,25 @@ def _axpy(dst, c, src):
 
 
 class _Poly:
-    """Sparse exact arithmetic shared by the polynomial classes: a finite
-    mapping from words to exact rational coefficients, zero coefficients
-    absent.  Subclasses choose which words are allowed (``_check_word``)
-    and how a term's word is rendered (``_term``)."""
+    """Sparse exact arithmetic shared by the polynomial classes: words to
+    exact rational coefficients, zero coefficients absent.  The constructor
+    checks outside input, each word with ``_check_word``; a result computed
+    from checked words skips it (``_make``).  ``_term`` renders a word."""
 
     __slots__ = ("alphabet", "terms")
     _term = "{}"
 
     def __init__(self, alphabet, terms=()):
         data = {}
-        pairs = not isinstance(terms, dict)
-        for w, c in terms if pairs else terms.items():
+        for w, c in terms.items() if isinstance(terms, dict) else terms:
             if w.alphabet != alphabet:
                 raise ValueError("mixed alphabets in polynomial")
             self._check_word(w)
-            # a pair list may repeat a word, which then has no one coefficient
-            if pairs and w in data:
+            if w in data:
                 raise ValueError(f"repeated word {w} in polynomial terms")
-            c = _coeff(c)
-            if c or pairs:
-                data[w] = c
+            data[w] = _coeff(c)
         self.alphabet = alphabet
-        self.terms = {w: c for w, c in data.items() if c} if pairs else data
+        self.terms = {w: c for w, c in data.items() if c}
 
     @staticmethod
     def _check_word(w):
@@ -443,7 +439,7 @@ def lie_bracket(p, q):
     """Lie bracket of two elements in basis coordinates."""
     if p.alphabet != q.alphabet:
         raise ValueError("mixed alphabets")
-    return LiePoly(p.alphabet, _bracket_terms(p.terms, q.terms))
+    return p._make(_bracket_terms(p.terms, q.terms))
 
 
 def left_pair_expansion(x, u):

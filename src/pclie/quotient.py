@@ -191,6 +191,8 @@ class GradedBasis(namedtuple("GradedBasis", "graph max_degree by_degree")):
         return out
 
     def trees(self, degree):
+        if not 1 <= degree <= self.max_degree:
+            raise ValueError(f"degree {degree} is outside 1..{self.max_degree}")
         return self.by_degree[degree - 1]
 
 

@@ -20,11 +20,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import LiePoly, LieTree, _bracket_terms, bracket, expand
+from .lie import LieTree, _bracket_terms, bracket, expand
 # commutator and nlsw_decompose are not called here (normal_s_word brackets
 # in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import commutator, nlsw_decompose  # noqa: F401
-from .words import _standard_cut, is_alsw, lyndon_factorize
+from .words import _check_same_alphabet, _standard_cut, is_alsw, lyndon_factorize
 
 
 class InvariantError(ArithmeticError):
@@ -48,7 +48,7 @@ class Rule:
             raise ValueError(f"rule must be monic, leading coefficient is {c}")
         self.body = body
         self.leading = leading
-        self._hash = hash((leading, tuple(body.items_deglex())))
+        self._hash = hash(frozenset(body.terms.items()))
 
     @classmethod
     def monic(cls, poly):
@@ -80,6 +80,7 @@ class Occurrence(namedtuple("Occurrence", "host sub position")):
             raise ValueError(f"host {host!r} is not a Lyndon-Shirshov word")
         if not is_alsw(sub):
             raise ValueError(f"subword {sub!r} is not a Lyndon-Shirshov word")
+        _check_same_alphabet(host, sub)
         q = position + len(sub)
         if position < 0 or q > len(host) or host.ranks[position:q] != sub.ranks:
             raise ValueError(f"{sub} does not occur in {host} at position {position}")
@@ -169,9 +170,9 @@ def normal_s_word(w, s, position):
     at that occurrence.  w must be a Lyndon-Shirshov word.  The result
     leads with w, coefficient 1."""
     sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
-    # each sibling is a Lyndon-Shirshov word: one basis element
+    # one basis element per sibling; with none, the result is the body copied
     basis_sides = [(step, {sib: 1}) for step, sib in sb.sides]
-    result = LiePoly(w.alphabet, _fold(basis_sides, s.body.terms, _bracket_terms))
+    result = s.body._make(_fold(basis_sides, dict(s.body.terms), _bracket_terms))
     lw, lc = result.leading()
     if lw != w or lc != 1:
         raise InvariantError(f"normal s-word {w} lead check failed: {result}")

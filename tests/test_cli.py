@@ -78,9 +78,10 @@ def _stack_depth():
 
 
 def test_bracket_too_deep_exits_2(capsys, theta):
-    # the expression parser and the tree evaluation recurse once per level
-    # of nested brackets.  With the default limit it takes about 980 levels
-    # to get there; a lowered limit shows the same path on 150
+    # the expression parser recurses once per level of nested brackets (the
+    # tree evaluation walks an explicit stack).  With the default limit it
+    # takes about 985 levels to get there; a lowered limit shows the same
+    # path on 150
     path = theta("xz.theta", XZ)
     expr = "(" * 150 + "x" + " y)" * 150
     old = sys.getrecursionlimit()

@@ -355,6 +355,23 @@ def test_a_repeated_word_in_a_term_list_is_refused():
         assert cls(A3, [(w, 2), (xz, 0)]).terms == cls(A3, {w: 2, xz: 0}).terms == {w: 2}
 
 
+def test_lie_poly_refuses_outside_input():
+    # a word that is not Lyndon-Shirshov, or one of another alphabet, is
+    # refused in a dict and in a pair list alike (a repeated pair: above)
+    other = Alphabet.from_decl("a > b > c")
+    xy = A3.word("xy")
+    cases = (
+        (A3.word("yx"), "not a Lyndon-Shirshov word"),
+        (other.word("ab"), "mixed alphabets"),
+    )
+    for w, message in cases:
+        for terms in ({xy: 1, w: 2}, [(xy, 1), (w, 2)], {w: 0}):
+            with pytest.raises(ValueError, match=message):
+                LiePoly(A3, terms)
+    with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
+        LiePoly.basis(A3.word("xyx"))
+
+
 def test_stored_text_equals_the_recursive_rendering():
     def render(t):
         if t.left is None:

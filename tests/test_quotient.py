@@ -129,6 +129,14 @@ def test_irr_basis_fixtures():
     assert irr_basis(free2, 5).dimensions() == [2, 1, 2, 3, 6]
 
 
+def test_graded_basis_refuses_a_degree_outside_its_range():
+    basis = irr_basis(CommGraph(A3, [("x", "y")]), 3)
+    assert [len(basis.trees(d)) for d in (1, 2, 3)] == basis.dimensions()
+    for degree in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"degree {degree} is outside 1..3"):
+            basis.trees(degree)
+
+
 def basis_structure_cases():
     yield CommGraph(A3, [("x", "y"), ("y", "z")]), 5
     for g in all_graphs(A4, PAIRS4):

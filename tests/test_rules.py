@@ -21,6 +21,7 @@ from pclie import (
     lie_bracket,
     normal_s_word,
     pc_normal_form,
+    reduce,
     special_bracket,
 )
 from pclie.quotient import CommGraph, generate_relations
@@ -58,6 +59,9 @@ def test_occurrence_validation():
         Occurrence(A3.word("zyx"), A3.word("yx"), 1)  # host not Lyndon-Shirshov
     with pytest.raises(ValueError):
         Occurrence(A3.word("xzy"), A3.word("zy"), 1)  # subword not Lyndon-Shirshov
+    other = Alphabet.from_decl("a > b > c")
+    with pytest.raises(ValueError, match="different alphabets"):
+        Occurrence(A3.word("xyz"), other.word("bc"), 1)  # same ranks, other letters
 
 
 def test_special_bracket_trivial_occurrence():
@@ -118,8 +122,13 @@ def test_special_bracket_exhaustive_leading_word():
 
 
 def test_normal_s_word_identity_case():
-    s = Rule(LiePoly.basis(A2.word("xy")))
-    assert normal_s_word(A2.word("xy"), s, 0) == s.body
+    # at its own leading word the normal s-word is the body, in a dict of
+    # its own: a caller changing one must not change the rule
+    body = {A3.word("xyz"): 1, A3.word("xz"): Fraction(-1, 2)}
+    for s in (Rule(LiePoly.basis(A2.word("xy"))), Rule(LiePoly(A3, body))):
+        nsw = normal_s_word.__wrapped__(s.leading, s, 0)
+        assert nsw == s.body
+        assert nsw.terms is not s.body.terms
 
 
 def test_normal_s_word_examples():
@@ -181,6 +190,45 @@ def test_the_engine_fills_no_bracket_cache():
     pc_normal_form(tree, g)
     assert normal_s_word.cache_info().currsize > 0
     assert bracket.cache_info().currsize == 0
+
+
+def test_the_engine_builds_its_results_unchecked(monkeypatch):
+    # the words of a normal s-word, a remainder, a composition or a bracket
+    # are made from checked words, so the engine never checks them again
+    rules = [
+        Rule(LiePoly.basis(A3.word("xy"))),
+        Rule(
+            LiePoly(
+                A3,
+                {A3.word("xyz"): 1, A3.word("xzy"): 2, A3.word("xz"): Fraction(-1, 2)},
+            )
+        ),
+    ]
+    h = LiePoly(
+        A3, {A3.word("xxyz"): 3, A3.word("xyzz"): Fraction(1, 2), A3.word("y"): 1}
+    )
+    relations = generate_relations(CommGraph(A3, [("x", "y"), ("y", "z")]), 6)
+    sites = [(A3.word("xxy"), rules[0], 1), (A3.word("xyzyz"), rules[1], 0)]
+
+    def run():
+        clear_caches()
+        return (
+            [normal_s_word.__wrapped__(*site) for site in sites],
+            reduce(h, rules),
+            is_gsb(rules, 5),
+            is_gsb(relations, 6),
+            complete(rules, 5),
+            lie_bracket(h, rules[1].body),
+        )
+
+    expected = run()
+    assert not expected[2].ok and expected[3].ok and len(expected[4]) > len(rules)
+
+    def refuse(w):
+        raise AssertionError(f"the engine checked {w} again")
+
+    monkeypatch.setattr(LiePoly, "_check_word", staticmethod(refuse))
+    assert run() == expected
 
 
 def test_normal_s_word_requires_lyndon_shirshov_host():
