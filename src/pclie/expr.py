@@ -113,15 +113,21 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             sign = -1
-        num = self.expect("int", "an integer")
-        value = int(num[1])
+        value, _ = self.integer("an integer")
         if self.peek()[0] == "/":
             self.take()
-            den = self.expect("int", "a positive denominator")
-            if int(den[1]) == 0:
-                raise ParseError("malformed rational: zero denominator", den[2])
-            return Fraction(sign * value, int(den[1]))
+            den, position = self.integer("a positive denominator")
+            if den == 0:
+                raise ParseError("malformed rational: zero denominator", position)
+            return Fraction(sign * value, den)
         return sign * value
+
+    def integer(self, what):
+        _, digits, position = self.expect("int", what)
+        try:
+            return int(digits), position
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"integer too long: {exc}", position) from None
 
     def factor(self):
         tok = self.take()

@@ -39,9 +39,9 @@ class NotLieElementError(ValueError):
 
 def _coeff(c):
     """Normalize an exact coefficient; integral rationals become int."""
-    if isinstance(c, int):
+    if c.__class__ is int:  # exact types, so a bool is refused
         return c
-    if isinstance(c, Fraction):
+    if c.__class__ is Fraction:
         return int(c) if c.denominator == 1 else c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 

@@ -149,9 +149,7 @@ def generate_relations(graph, max_deg):
 
 
 def _irr_ranks(graph, max_deg):
-    """Rank tuples of the words of ``irr_words``, in the same order."""
-    if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
+    """Rank tuples of the words of ``irr_words``, a deg-lex list per degree."""
     below = graph._below
     # where no letter dominates another there is no pattern to test for
     ends_ok = (
@@ -162,14 +160,15 @@ def _irr_ranks(graph, max_deg):
 
 def irr_words(graph, max_deg):
     """Lyndon-Shirshov words of length <= max_deg avoiding every rule
-    leading word as a contiguous factor, deg-lex ascending.
+    leading word as a contiguous factor, deg-lex ascending: the degrees of
+    ``_irr_ranks`` in turn.
 
     Generated directly: the Lyndon-Shirshov generator drops a word whose
     last letter completes a pattern, with all its extensions.  A word that
     ends with a pattern contains it in every extension, so no word
     containing one is built and no pattern-free word is lost.
     """
-    return [Word(graph.alphabet, r) for r in _irr_ranks(graph, max_deg)]
+    return [Word(graph.alphabet, r) for level in _irr_ranks(graph, max_deg) for r in level]
 
 
 class GradedBasis(namedtuple("GradedBasis", "graph max_degree by_degree")):
@@ -204,26 +203,22 @@ def _fold_basis(graph, max_deg, leaf, pair):
     ascending in each.
 
     The values are kept by rank tuple in a table that lives for this call
-    only.  The words come shortest first, and every factor of a
-    pattern-free word is pattern-free, so every proper Lyndon-Shirshov
-    suffix of a word is in the table when the word comes up.  The right
-    half of the standard split is the longest of them: the first suffix
-    found walking in from the left, and the prefix it leaves is again a
-    pattern-free Lyndon-Shirshov word.
+    only.  The levels of ``_irr_ranks`` are folded in order, the letters
+    first, and every factor of a pattern-free word is pattern-free, so
+    every proper Lyndon-Shirshov suffix of a word is in the table when
+    the word comes up.  The right half of the standard split is the
+    longest of them: the first suffix found walking in from the left, and
+    the prefix it leaves is again a pattern-free Lyndon-Shirshov word.
     """
-    levels = [[] for _ in range(max_deg)]
-    values = {}
-    for r in _irr_ranks(graph, max_deg):
-        if len(r) == 1:
-            value = leaf(r)
-        else:
+    levels = _irr_ranks(graph, max_deg)
+    values = {r: leaf(r) for r in levels[0]}
+    for level in levels[1:]:
+        for r in level:
             cut = 1
             while r[cut:] not in values:
                 cut += 1
-            value = pair(r, values[r[:cut]], values[r[cut:]])
-        values[r] = value
-        levels[len(r) - 1].append(value)
-    return levels
+            values[r] = pair(r, values[r[:cut]], values[r[cut:]])
+    return [[values[r] for r in level] for level in levels]
 
 
 def irr_basis(graph, max_deg):
@@ -253,11 +248,8 @@ def basis_texts(graph, max_deg):
 
 
 def graded_dimensions(graph, max_deg):
-    """Number of basis words per degree 1..max_deg."""
-    dims = [0] * max_deg
-    for r in _irr_ranks(graph, max_deg):
-        dims[len(r) - 1] += 1
-    return dims
+    """Number of basis words per degree 1..max_deg, read off ``_irr_ranks``."""
+    return [len(level) for level in _irr_ranks(graph, max_deg)]
 
 
 def _pattern_rule(word):

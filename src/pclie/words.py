@@ -304,7 +304,7 @@ def _standard_cut(r):
 
 def _alsw_ranks(k, max_len, ends_ok=None):
     """Rank tuples of all Lyndon-Shirshov words of length <= max_len over
-    ranks 0..k-1, deg-lex ascending.
+    ranks 0..k-1: a deg-lex ascending list per length 1..max_len.
 
     Duval's generator (Theor. Comput. Sci. 60, 1988) on the mirrored
     order, with no recursion: from [k], step the last letter down one
@@ -322,6 +322,8 @@ def _alsw_ranks(k, max_len, ends_ok=None):
     (as x u y does).  A factor completed by a periodic extension would
     hold the prenecklace's first, highest letter at a later position.
     """
+    if max_len < 1:
+        raise ValueError("max_deg must be at least 1")
     levels = [[] for _ in range(max_len)]
     w, n = [k], 1
     while True:
@@ -336,11 +338,10 @@ def _alsw_ranks(k, max_len, ends_ok=None):
             w.pop()
             n -= 1
             if not n:
-                return [r for level in levels for r in reversed(level)]
+                return [level[::-1] for level in levels]
 
 
 def enumerate_alsw(alphabet, max_deg):
     """All Lyndon-Shirshov words of length <= max_deg, deg-lex ascending."""
-    if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
-    return [Word(alphabet, r) for r in _alsw_ranks(len(alphabet.letters), max_deg)]
+    levels = _alsw_ranks(len(alphabet.letters), max_deg)
+    return [Word(alphabet, r) for level in levels for r in level]

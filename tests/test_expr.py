@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,13 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         parse_expr("(x w)", A2)
     assert e.value.position == 3
+
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for text, position in ((digits + "*x", 0), ("-1/" + digits + "*x", 3)):
+        with pytest.raises(ParseError, match="integer too long") as e:
+            parse_expr(text, A2)
+        assert e.value.position == position
 
     with pytest.raises(ParseError):
         parse_expr("3/0*(x y)", A2)

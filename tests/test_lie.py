@@ -372,6 +372,19 @@ def test_lie_poly_refuses_outside_input():
         LiePoly.basis(A3.word("xyx"))
 
 
+def test_a_bool_coefficient_is_refused():
+    # bool is a subclass of int, but True is no coefficient: it would be
+    # stored and printed as True
+    xy = A3.word("xy")
+    message = "coefficients must be int or Fraction, got bool"
+    for terms in ({xy: True}, [(xy, False)]):
+        with pytest.raises(TypeError, match=message):
+            LiePoly(A3, terms)
+    with pytest.raises(TypeError, match=message):
+        LiePoly.basis(xy).scale(True)
+    assert LiePoly(A3, {xy: Fraction(4, 2)}).terms == {xy: 2}
+
+
 def test_stored_text_equals_the_recursive_rendering():
     def render(t):
         if t.left is None:

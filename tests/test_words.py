@@ -7,6 +7,7 @@ from pclie import (
     GREATER,
     LESS,
     Alphabet,
+    Word,
     compare_deglex,
     compare_lex,
     deglex_key,
@@ -56,6 +57,14 @@ def test_word_parsing_and_rendering():
         A3.word("xq")
     long_names = Alphabet.from_decl("x2 > x1")
     assert str(long_names.word("x2x1")) == "x2 x1"
+
+
+def test_word_refuses_a_rank_outside_the_alphabet():
+    # the one check on a raw rank tuple from outside
+    for ranks in ((2,), (-1,), (0, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(A2, ranks)
+    assert str(Word(A2, (1, 0))) == "xy"
 
 
 def test_word_degrees():
@@ -204,10 +213,12 @@ def test_enumerate_alsw_deep_degree():
 
 def test_alsw_ranks_prunes_exactly_the_words_with_a_forbidden_factor():
     # a test for "the word now ends with a forbidden factor" keeps the
-    # Lyndon-Shirshov words free of those factors, in deg-lex order, when
-    # each factor's first letter has a higher rank than its other letters,
-    # as the x u y patterns of a commutation graph do
-    lsw = [u.ranks for n in range(1, 8) for u in all_words(A3, n) if is_alsw_by_splits(u)]
+    # Lyndon-Shirshov words free of those factors, a deg-lex list per
+    # length, when each factor's first letter has a higher rank than its
+    # other letters, as the x u y patterns of a commutation graph do
+    lsw = [
+        [u.ranks for u in all_words(A3, n) if is_alsw_by_splits(u)] for n in range(1, 8)
+    ]
     rng = random.Random(5)
 
     def factor():
@@ -224,7 +235,8 @@ def test_alsw_ranks_prunes_exactly_the_words_with_a_forbidden_factor():
         def free(r):
             return all(r[i : i + len(f)] != f for f in forbidden for i in range(len(r)))
 
-        assert _alsw_ranks(3, 7, ends_ok) == [r for r in lsw if free(r)], forbidden
+        expected = [[r for r in level if free(r)] for level in lsw]
+        assert _alsw_ranks(3, 7, ends_ok) == expected, forbidden
 
 
 def test_enumerate_alsw_matches_brute_force():
