@@ -17,7 +17,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .lie import LiePoly, LieTree, _axpy, _tree_terms
+from .lie import LiePoly, LieTree, tree_value
 from .words import LETTER_NAME
 # expand and nlsw_decompose are not called here (to_lie_poly brackets in the
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
@@ -62,10 +62,10 @@ class ExprAst(namedtuple("ExprAst", "alphabet parts")):
     __slots__ = ()
 
     def to_lie_poly(self):
-        out = {}
+        out = LiePoly.zero(self.alphabet)
         for c, tree in self.parts:
-            _axpy(out, c, _tree_terms(tree))
-        return LiePoly(self.alphabet, out)
+            out += tree_value(tree).scale(c)
+        return out
 
 
 class _Parser:

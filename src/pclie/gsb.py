@@ -20,16 +20,23 @@ occurs in it (f always starts it), so a composition is the difference of
 two normal s-words on one host.  A rule pair's ambiguities come from one
 scan over the start positions of g.leading in f.leading, the kind decided
 by where g ends.
+
+The rewrite loop works in the one format of ``lie._Poly``: integer
+numerators over one denominator D.  A step whose normal s-word has a
+denominator d other than 1 brings the work to the denominator D d,
+subtracts in integers and divides out the common factor; exact
+coefficients are built only for the steps and the remainder.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import namedtuple
+from math import gcd
 
-from .lie import _axpy
+from .lie import _axpy, _exact
 from .rules import InvariantError, Rule, normal_s_word
-from .words import LESS, Word, compare_deglex, deglex_key, is_alsw
+from .words import LESS, Word, _deglex_max, compare_deglex, deglex_key, is_alsw
 
 
 class Ambiguity(namedtuple("Ambiguity", "kind f_index g_index f g w position")):
@@ -112,8 +119,8 @@ def composition(amb):
     two occurrences in it.  For an inclusion the first is f.body."""
     result = normal_s_word(amb.w, amb.f, 0) - normal_s_word(amb.w, amb.g, amb.position)
     if result:
-        lead, _ = result.leading()
-        if compare_deglex(lead, amb.w) != LESS:
+        lead, w = result._lead(), amb.w.ranks
+        if (len(lead), lead) >= (len(w), w):
             raise InvariantError(
                 f"composition at {amb.w} does not drop below the witness"
             )
@@ -124,29 +131,45 @@ def _rewrite(h, find, bound=None):
     """The rewrite loop behind every reduction.
 
     Always rewrites the deg-lex greatest word of the work polynomial that
-    ``find`` reports reducible: ``find(w)`` returns ``(rule_index, rule,
-    position)`` of the occurrence to rewrite, or None when w stays.  Each
-    step subtracts coefficient times a normal s-word and strictly
-    decreases the word being rewritten, so the trace is finite.  With a
-    bound given, a step at or above it is an error.
+    ``find`` reports reducible: ``find(ranks)`` returns ``(rule_index,
+    rule, position)`` of the occurrence to rewrite in the word with that
+    rank tuple, or None when the word stays.  Each step subtracts
+    coefficient times a normal s-word and strictly decreases the word
+    being rewritten, so the trace is finite.  With a bound given, a step
+    at or above it is an error.
     """
-    work = dict(h.terms)
-    done = {}
+    alphabet = h.alphabet
+    # h is work + done over den, and done holds the words that stay
+    work, done, den = dict(h._num), {}, h._den
     steps = []
     while work:
-        w0 = max(work, key=deglex_key)
-        c0 = work[w0]
-        hit = find(w0)
+        r0 = _deglex_max(work)
+        hit = find(r0)
         if hit is None:
-            done[w0] = c0
-            del work[w0]
+            done[r0] = work.pop(r0)
             continue
         ri, r, pos = hit
+        c0, w0 = work[r0], Word(alphabet, r0)
         if bound is not None and compare_deglex(w0, bound) != LESS:
             raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
-        steps.append(ReductionStep(ri, r, w0, pos, c0))
-        _axpy(work, -c0, normal_s_word(w0, r, pos).terms)
-    return ReductionTrace(input=h, steps=steps, remainder=h._make(done))
+        steps.append(ReductionStep(ri, r, w0, pos, _exact(c0, den)))
+        nsw = normal_s_word(w0, r, pos)
+        d = nsw._den
+        if d == 1:
+            _axpy(work, -c0, nsw._num)
+            continue
+        # (c0 / den) (nsw._num / d): bring the work to the denominator
+        # den d, subtract in integers, and divide out the common factor
+        work = {k: d * v for k, v in work.items()}
+        done = {k: d * v for k, v in done.items()}
+        _axpy(work, -c0, nsw._num)
+        den *= d
+        g = gcd(den, *work.values(), *done.values())
+        if g != 1:
+            work = {k: v // g for k, v in work.items()}
+            done = {k: v // g for k, v in done.items()}
+            den //= g
+    return ReductionTrace(input=h, steps=steps, remainder=h._make(alphabet, done, den))
 
 
 def reduce(h, rules, bound=None):
@@ -157,8 +180,7 @@ def reduce(h, rules, bound=None):
     wins, then the leftmost occurrence; see ``_rewrite`` for the loop.
     """
 
-    def find(w):
-        wr = w.ranks
+    def find(wr):
         for ri, r in enumerate(rules):
             lr = r.leading.ranks
             k = len(lr)

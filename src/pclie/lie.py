@@ -2,11 +2,15 @@
 
 Elements of the free Lie algebra are kept in coordinates over the
 canonical basis of bracketed Lyndon-Shirshov words, with exact rational
-coefficients (plain ints whenever possible).  Two basis elements are
-bracketed in those coordinates directly, by the classic recursion on
-standard splits (``_basis_bracket``), and every Lie product in the
-engine is that bracket extended bilinearly, on the one term format of
-``LiePoly.terms``: a dict from Lyndon-Shirshov word to coefficient.
+coefficients.  Inside the package a polynomial has one format: integer
+numerators keyed by the words' rank tuples, over one positive
+denominator, in lowest terms (``_Poly``).  Words and exact int/Fraction
+coefficients are built only at the API: ``terms``, ``leading``,
+``items_deglex`` and the printed forms.  Two basis elements are bracketed
+in those coordinates directly, by the classic recursion on standard
+splits (``_basis_bracket``, on rank tuples and integers, so one table
+serves every alphabet), and every Lie product in the engine is that
+bracket extended bilinearly.
 
 Expansion into the free associative algebra realizes the bracket as
 (ab) = ab - ba; the leading associative word of a bracketed
@@ -20,14 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .words import (
     GREATER,
     LESS,
     Word,
     _compare_ranks,
+    _deglex_max,
     _standard_cut,
-    deglex_key,
     is_alsw,
     standard_split,
 )
@@ -44,6 +49,15 @@ def _coeff(c):
     if c.__class__ is Fraction:
         return int(c) if c.denominator == 1 else c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+
+
+def _exact(n, d):
+    """The exact coefficient n/d for d > 0: an int when d divides n, else
+    a reduced Fraction."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def coeff_str(c):
@@ -129,22 +143,34 @@ def is_nlsw(t):
 
 
 def _axpy(dst, c, src):
-    """dst += c * src on term dicts, in place; zero coefficients dropped."""
-    for w, v in src.items():
-        s = dst.get(w, 0) + c * v
-        if s:
-            dst[w] = _coeff(s)
+    """dst += c * src on integer term dicts, in place; zero sums dropped,
+    and a zero scalar adds nothing."""
+    if not c:
+        return
+    for r, v in src.items():
+        if r in dst:
+            s = dst[r] + c * v
+            if s:
+                dst[r] = s
+            else:
+                del dst[r]
         else:
-            dst.pop(w, None)
+            dst[r] = c * v
 
 
 class _Poly:
-    """Sparse exact arithmetic shared by the polynomial classes: words to
-    exact rational coefficients, zero coefficients absent.  The constructor
-    checks outside input, each word with ``_check_word``; a result computed
-    from checked words skips it (``_make``).  ``_term`` renders a word."""
+    """Sparse exact arithmetic shared by the polynomial classes.
 
-    __slots__ = ("alphabet", "terms")
+    The one stored format: ``_num`` maps the rank tuple of each word to a
+    non-zero integer numerator, over one positive denominator ``_den``,
+    and the gcd of the denominator and every numerator is 1, so equal
+    polynomials store equal data.  ``_num`` is never changed once built.
+    The constructor checks outside input, each word with ``_check_word``;
+    a result computed from checked words skips it (``_make``).  Words and
+    exact coefficients are built only at the API (``terms``, ``leading``,
+    ``items_deglex``).  ``_term`` renders a word."""
+
+    __slots__ = ("alphabet", "_num", "_den")
     _term = "{}"
 
     def __init__(self, alphabet, terms=()):
@@ -153,20 +179,34 @@ class _Poly:
             if w.alphabet != alphabet:
                 raise ValueError("mixed alphabets in polynomial")
             self._check_word(w)
-            if w in data:
+            if w.ranks in data:
                 raise ValueError(f"repeated word {w} in polynomial terms")
-            data[w] = _coeff(c)
+            data[w.ranks] = _coeff(c)
+        # the least common denominator of reduced coefficients leaves the
+        # numerators and it coprime
+        den = lcm(*(c.denominator for c in data.values()))
         self.alphabet = alphabet
-        self.terms = {w: c for w, c in data.items() if c}
+        self._num = {r: c.numerator * (den // c.denominator) for r, c in data.items() if c}
+        self._den = den
 
     @staticmethod
     def _check_word(w):
         pass
 
-    def _make(self, terms):
-        p = object.__new__(type(self))
-        p.alphabet = self.alphabet
-        p.terms = terms
+    @classmethod
+    def _make(cls, alphabet, num, den=1):
+        """The polynomial num / den, for integer numerators num and den > 0
+        computed from checked words, brought to lowest terms; nothing is
+        checked, and num is kept, not copied."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {r: v // g for r, v in num.items()}
+                den //= g
+        p = object.__new__(cls)
+        p.alphabet = alphabet
+        p._num = num
+        p._den = den
         return p
 
     @classmethod
@@ -174,33 +214,52 @@ class _Poly:
         return cls(alphabet)
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
+
+    @property
+    def terms(self):
+        """A fresh dict from word to exact coefficient (an int when
+        integral, else a reduced Fraction); changing it leaves the
+        polynomial unchanged."""
+        alphabet, den = self.alphabet, self._den
+        return {Word(alphabet, r): _exact(n, den) for r, n in self._num.items()}
 
     def items_deglex(self):
         """Terms sorted by deg-lex, leading term first."""
-        return sorted(self.terms.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)
+        alphabet, num, den = self.alphabet, self._num, self._den
+        return [
+            (Word(alphabet, r), _exact(num[r], den))
+            for _, r in sorted(zip(map(len, num), num), reverse=True)
+        ]
+
+    def _lead(self):
+        """The rank tuple of the deg-lex maximal word."""
+        if not self._num:
+            raise ValueError("the zero polynomial has no leading word")
+        return _deglex_max(self._num)
 
     def leading(self):
         """The deg-lex maximal word and its coefficient."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading word")
-        w = max(self.terms, key=deglex_key)
-        return w, self.terms[w]
+        r = self._lead()
+        return Word(self.alphabet, r), _exact(self._num[r], self._den)
 
     def degree(self):
-        if not self.terms:
+        if not self._num:
             raise ValueError("the zero polynomial has no degree")
-        return max(len(w) for w in self.terms)
+        return max(len(r) for r in self._num)
 
     def _combine(self, c, other):
         if self.alphabet != other.alphabet:
             raise ValueError("mixed alphabets")
-        out = dict(self.terms)
-        _axpy(out, c, other.terms)
-        return self._make(out)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        m = den // d1
+        out = dict(self._num) if m == 1 else {r: m * v for r, v in self._num.items()}
+        _axpy(out, c * (den // d2), other._num)
+        return self._make(self.alphabet, out, den)
 
     def __add__(self, other):
         return self._combine(1, other)
@@ -209,23 +268,24 @@ class _Poly:
         return self._combine(-1, other)
 
     def __neg__(self):
-        return self._make({w: -c for w, c in self.terms.items()})
+        return self._make(self.alphabet, {r: -v for r, v in self._num.items()}, self._den)
 
     def scale(self, c):
         c = _coeff(c)
-        if not c:
-            return self._make({})
-        return self._make({w: _coeff(c * v) for w, v in self.terms.items()})
+        a = c.numerator
+        num = {r: a * v for r, v in self._num.items()} if a else {}
+        return self._make(self.alphabet, num, self._den * c.denominator)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.alphabet == other.alphabet
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for w, c in self.items_deglex():
@@ -258,17 +318,15 @@ class AssocPoly(_Poly):
         if self.alphabet != other.alphabet:
             raise ValueError("mixed alphabets")
         out = {}
-        for w1, c1 in self.terms.items():
-            r1 = w1.ranks
-            for w2, c2 in other.terms.items():
-                w = Word(self.alphabet, r1 + w2.ranks)
-                s = out.get(w, 0) + c1 * c2
+        for r1, c1 in self._num.items():
+            for r2, c2 in other._num.items():
+                r = r1 + r2
+                s = out.get(r, 0) + c1 * c2
                 if s:
-                    out[w] = s
+                    out[r] = s
                 else:
-                    del out[w]
-            # zero entries can only appear through cancellation above
-        return self._make({w: _coeff(c) for w, c in out.items()})
+                    del out[r]
+        return self._make(self.alphabet, out, self._den * other._den)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -323,10 +381,10 @@ class LiePoly(_Poly):
 
     def to_assoc(self):
         """Expand into the free associative algebra."""
-        out = AssocPoly.zero(self.alphabet)
-        for w, c in self.terms.items():
-            _axpy(out.terms, c, expand(bracket(w)).terms)
-        return out
+        out = {}
+        for r, c in self._num.items():
+            _axpy(out, c, expand(bracket(Word(self.alphabet, r)))._num)
+        return AssocPoly._make(self.alphabet, out, self._den)
 
     def to_expr_text(self):
         """Render in the expression grammar (parseable round trip).
@@ -334,7 +392,7 @@ class LiePoly(_Poly):
         The zero element has no bare literal in the grammar, so it is
         rendered as 0 times the smallest letter.
         """
-        if not self.terms:
+        if not self._num:
             return f"0*{self.alphabet.letters[0]}"
         parts = []
         for w, c in self.items_deglex():
@@ -357,26 +415,30 @@ def nlsw_decompose(p):
     remainder reaching zero is exactly membership in the Lie subalgebra;
     otherwise NotLieElementError is raised.
     """
-    rem = dict(p.terms)
+    rem = dict(p._num)
     out = {}
     while rem:
-        w = max(rem, key=deglex_key)
-        c = rem[w]
+        r = _deglex_max(rem)
+        c = rem[r]
+        w = Word(p.alphabet, r)
         if not is_alsw(w):
             raise NotLieElementError(
                 f"leading word {w} is not a Lyndon-Shirshov word; "
                 "input is not a Lie element"
             )
-        out[w] = c
-        _axpy(rem, -c, expand(bracket(w)).terms)
-    return LiePoly(p.alphabet, out)
+        out[r] = c
+        # an expansion has integer coefficients, so rem stays over p's denominator
+        _axpy(rem, -c, expand(bracket(w))._num)
+    return LiePoly._make(p.alphabet, out, p._den)
 
 
 @lru_cache(maxsize=None)
 def _basis_bracket(u, v):
-    """The bracket of the basis elements [u] and [v], for Lyndon-Shirshov
-    words u and v, as a dict from word to integer coefficient.  The dict
-    is shared through the cache and must not be changed.
+    """The bracket of the basis elements [u] and [v], for the rank tuples
+    u and v of Lyndon-Shirshov words, as a dict from rank tuple to integer
+    coefficient.  Rank tuples compare as the words do in every alphabet,
+    so one table serves them all.  The dict is shared through the cache
+    and must not be changed.
 
     For u > v with standard split u = u1 u2, [u][v] is the basis element
     [uv] when u is a letter or u2 <= v: then uv is Lyndon-Shirshov and its
@@ -385,13 +447,13 @@ def _basis_bracket(u, v):
     (Reutenauer, Free Lie Algebras, 1993, sections 4-5)."""
     if u == v:
         return {}
-    if _compare_ranks(u.ranks, v.ranks) == LESS:
+    if _compare_ranks(u, v) == LESS:
         return {w: -c for w, c in _basis_bracket(v, u).items()}
     if len(u) == 1:
         return {u + v: 1}
-    cut = _standard_cut(u.ranks)
+    cut = _standard_cut(u)
     u1, u2 = u[:cut], u[cut:]
-    if _compare_ranks(u2.ranks, v.ranks) != GREATER:
+    if _compare_ranks(u2, v) != GREATER:
         return {u + v: 1}
     out = {}
     for w, c in _basis_bracket(u2, v).items():
@@ -402,7 +464,7 @@ def _basis_bracket(u, v):
 
 
 def _bracket_terms(p, q):
-    """The bracket of two elements given as term dicts, extended
+    """The bracket of two elements given as integer term dicts, extended
     bilinearly from ``_basis_bracket``."""
     out = {}
     for u, a in p.items():
@@ -422,7 +484,11 @@ def _tree_terms(t):
             right = values.pop()
             values[-1] = _bracket_terms(values[-1], right)
         elif node.left is None:
-            values.append({node.word: 1})
+            # a leaf is a basis element: a letter, or checked here
+            r = node.word.ranks
+            if len(r) != 1 and not is_alsw(node.word):
+                raise ValueError(f"{node.word!r} is not a Lyndon-Shirshov word")
+            values.append({r: 1})
         else:
             todo += (None, node.right, node.left)
     return values[0]
@@ -432,14 +498,14 @@ def tree_value(t):
     """The Lie element a bracketed word denotes, in basis coordinates: a
     leaf is its letter, and a pair is the bracket of its children's
     values."""
-    return LiePoly(t.word.alphabet, _tree_terms(t))
+    return LiePoly._make(t.word.alphabet, _tree_terms(t))
 
 
 def lie_bracket(p, q):
     """Lie bracket of two elements in basis coordinates."""
     if p.alphabet != q.alphabet:
         raise ValueError("mixed alphabets")
-    return p._make(_bracket_terms(p.terms, q.terms))
+    return p._make(p.alphabet, _bracket_terms(p._num, q._num), p._den * q._den)
 
 
 def left_pair_expansion(x, u):

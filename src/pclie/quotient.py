@@ -258,12 +258,11 @@ def _pattern_rule(word):
     return Rule(LiePoly.basis(word))
 
 
-def _least_pattern(graph, w):
-    """The rewrite site of w for ``gsb._rewrite``: the deg-lex smallest
-    pattern factor, then its leftmost occurrence, or None when w is
-    pattern-free.  In the deg-lex order of ``generate_relations`` this is
+def _least_pattern(graph, ranks):
+    """The rewrite site for ``gsb._rewrite`` of the word with rank tuple
+    ranks: the deg-lex smallest pattern factor, then its leftmost
+    occurrence, or None when the word is pattern-free.  In the deg-lex order of ``generate_relations`` this is
     the lowest-index rule at its leftmost occurrence, as in ``gsb.reduce``."""
-    ranks = w.ranks
     span = min(
         _pattern_spans(graph, ranks),
         key=lambda ij: (ij[1] - ij[0], ranks[ij[0] : ij[1]], ij[0]),
@@ -272,7 +271,7 @@ def _least_pattern(graph, w):
     if span is None:
         return None
     i, j = span
-    return None, _pattern_rule(w[i:j]), i
+    return None, _pattern_rule(Word(graph.alphabet, ranks[i:j])), i
 
 
 def pc_normal_form(p, graph):

@@ -9,22 +9,29 @@ Every rewrite site is named by host word, rule and position, as
 ``Occurrence`` names it.  A special bracketing is kept as the sibling
 words along its slot path, read off the standard splits of the host, and
 both its tree and the normal s-word are folds over them.  The
-substitution is evaluated in the Lyndon-Shirshov basis: the body is
+substitution is evaluated in the Lyndon-Shirshov basis, on the integer
+numerators of the one format of ``lie._Poly``: the body's numerators are
 bracketed with each sibling word in turn, deepest first, a single basis
-element each; no tree is built (trees only when ``tree`` is read).
+element each, over the body's denominator; no tree is built (trees only
+when ``tree`` is read).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .lie import LieTree, _bracket_terms, bracket, expand
 # commutator and nlsw_decompose are not called here (normal_s_word brackets
 # in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import commutator, nlsw_decompose  # noqa: F401
-from .words import _check_same_alphabet, _standard_cut, is_alsw, lyndon_factorize
+from .words import (
+    _check_same_alphabet,
+    _deglex_max,
+    _standard_cut,
+    is_alsw,
+    lyndon_factorize,
+)
 
 
 class InvariantError(ArithmeticError):
@@ -48,13 +55,17 @@ class Rule:
             raise ValueError(f"rule must be monic, leading coefficient is {c}")
         self.body = body
         self.leading = leading
-        self._hash = hash(frozenset(body.terms.items()))
+        self._hash = hash((frozenset(body._num.items()), body._den))
 
     @classmethod
     def monic(cls, poly):
         """Scale a nonzero Lie polynomial to leading coefficient 1."""
-        _, c = poly.leading()
-        return cls(poly.scale(Fraction(1) / Fraction(c)))
+        # poly is num / den with leading numerator c, so the monic form is
+        # num / c, in integers
+        num, c = poly._num, poly._num[poly._lead()]
+        if c < 0:
+            num, c = {r: -v for r, v in num.items()}, -c
+        return cls(poly._make(poly.alphabet, num, c))
 
     def __eq__(self, other):
         return isinstance(other, Rule) and self.body == other.body
@@ -170,10 +181,12 @@ def normal_s_word(w, s, position):
     at that occurrence.  w must be a Lyndon-Shirshov word.  The result
     leads with w, coefficient 1."""
     sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
-    # one basis element per sibling; with none, the result is the body copied
-    basis_sides = [(step, {sib: 1}) for step, sib in sb.sides]
-    result = s.body._make(_fold(basis_sides, dict(s.body.terms), _bracket_terms))
-    lw, lc = result.leading()
-    if lw != w or lc != 1:
+    # one basis element per sibling; with none, the result is the body
+    body = s.body
+    basis_sides = [(step, {sib.ranks: 1}) for step, sib in sb.sides]
+    result = body._make(body.alphabet, _fold(basis_sides, body._num, _bracket_terms), body._den)
+    num, den = result._num, result._den
+    lead = _deglex_max(num) if num else None
+    if lead != w.ranks or num[lead] != den:
         raise InvariantError(f"normal s-word {w} lead check failed: {result}")
     return result

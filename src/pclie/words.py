@@ -233,6 +233,12 @@ def deglex_key(u):
     return (len(u.ranks), u.ranks)
 
 
+def _deglex_max(ranks):
+    """The deg-lex greatest of a non-empty collection of rank tuples."""
+    # (length, ranks) pairs compare in deg-lex order, and are built in C
+    return max(zip(map(len, ranks), ranks))[1]
+
+
 def _factor_bounds(s):
     """(start, end) of each factor of the Lyndon-Shirshov factorization of
     the rank tuple s, left to right.

@@ -177,6 +177,39 @@ def normal_s_word_by_expansion(w, s, position):
     return nlsw_decompose(expand_with(special_bracket(occ), s.body.to_assoc()))
 
 
+def reduce_by_fractions(h, rules):
+    """Reduction modulo a rule list on plain dicts from word to Fraction:
+    rewrite the deg-lex greatest word that holds a rule's leading word,
+    with the lowest-index such rule at its leftmost occurrence, by
+    subtracting its coefficient times ``normal_s_word_by_expansion``.
+    Returns the steps, as (rule index, word, position, coefficient), and
+    the remainder dict."""
+    work = {w: Fraction(c) for w, c in h.terms.items()}
+    steps, remainder = [], {}
+    while work:
+        w = max(work, key=deglex_key)
+        site = next(
+            (
+                (ri, p)
+                for ri, r in enumerate(rules)
+                for p in range(len(w) - len(r.leading) + 1)
+                if w[p : p + len(r.leading)] == r.leading
+            ),
+            None,
+        )
+        if site is None:
+            remainder[w] = work.pop(w)
+            continue
+        ri, p = site
+        c = work[w]
+        steps.append((ri, w, p, c))
+        for u, a in normal_s_word_by_expansion(w, rules[ri], p).terms.items():
+            work[u] = work.get(u, 0) - c * a
+            if not work[u]:
+                del work[u]
+    return steps, remainder
+
+
 def lie_bracket_by_expansion(p, q):
     """The Lie bracket as the decomposed commutator of the expansions."""
     return nlsw_decompose(commutator(p.to_assoc(), q.to_assoc()))

@@ -40,6 +40,9 @@ def test_negative_and_integer_coefficients():
     assert p == LiePoly(A2, {A2.word("xy"): -2, A2.word("x"): 1})
     z = parse_expr("0*x", A2).to_lie_poly()
     assert z.is_zero()
+    # a zero multiple adds no term, not even one with coefficient 0
+    one = parse_expr("0*(x y) + (x z)", A3).to_lie_poly()
+    assert one.terms == {A3.word("xz"): 1} and str(one) == "[xz]"
 
 
 def test_parse_errors_carry_positions():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from oracles import (
     ambiguities_by_definition,
     complete_by_restart,
     normal_s_word_by_expansion,
+    reduce_by_fractions,
     witt_count,
 )
 
@@ -353,6 +355,55 @@ def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
         assert result == normal_s_word_by_expansion(w, s, position), (w, s, position)
     assert closure_calls >= 700
     assert len(calls) - closure_calls >= 120 and rational >= 100
+
+
+def is_exact(c):
+    """An int when integral, else a Fraction in lowest terms."""
+    if c.denominator == 1:
+        return type(c) is int
+    return type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+
+
+def test_reduce_matches_the_fraction_oracle_on_coprime_denominators(monkeypatch):
+    # coefficients over the coprime denominators 7, 11, 13 and 17, so the
+    # rewrite loop's common denominator changes at most steps: every step
+    # (rule, word, position, coefficient) and the remainder equal those of
+    # plain Fraction arithmetic on the expansion oracle's normal s-words,
+    # and so does every normal s-word the loop asks for
+    import pclie.gsb as gsb
+
+    calls = {}
+    real = gsb.normal_s_word
+
+    def recording(w, s, position):
+        calls[w, s, position] = result = real(w, s, position)
+        return result
+
+    monkeypatch.setattr(gsb, "normal_s_word", recording)
+    rng = random.Random(2)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice((7, 11, 13, 17)))
+
+    shapes = [("xz", "yz", "y"), ("xy", "z")]
+    sextics = [w for w in enumerate_alsw(A3, 6) if len(w) == 6]
+    denominators = set()
+    for _ in range(12):
+        rules = [Rule.monic(LiePoly(A3, {A3.word(t): coeff() for t in sh})) for sh in shapes]
+        h = LiePoly(A3, {w: coeff() for w in rng.sample(sextics, 5)})
+        tr = reduce(h, rules)
+        steps, remainder = reduce_by_fractions(h, rules)
+        assert len(steps) >= 10
+        assert [(s.rule_index, s.word, s.position, s.coefficient) for s in tr.steps] == steps
+        assert tr.remainder.terms == remainder
+        coefficients = [s.coefficient for s in tr.steps] + list(tr.remainder.terms.values())
+        assert all(is_exact(c) for c in coefficients)
+        denominators.update(c.denominator for c in coefficients)
+    assert max(denominators) > 10**9 and 1 in denominators
+    for (w, s, position), result in calls.items():
+        assert result == normal_s_word_by_expansion(w, s, position), (w, s, position)
+        assert all(is_exact(c) for c in result.terms.values())
+    assert len(calls) >= 100
 
 
 def test_zero_reduction_is_unchanged_by_an_appended_rule():

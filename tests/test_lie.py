@@ -229,8 +229,9 @@ def test_basis_bracket_matches_the_expansion_exhaustively():
 
 def test_alphabets_of_one_size_keep_their_own_words():
     # x > y > z and a > b > c have the same rank tuples.  The basis bracket
-    # table is keyed by words, which carry their alphabet, so interleaved
-    # calls on the two compute and return words of their own alphabet
+    # table is keyed by rank tuples and serves both; the polynomials carry
+    # their alphabet, so interleaved calls on the two return words of their
+    # own alphabet
     B3 = Alphabet.from_decl("a > b > c")
     rng = random.Random(31)
 
@@ -370,6 +371,11 @@ def test_lie_poly_refuses_outside_input():
                 LiePoly(A3, terms)
     with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
         LiePoly.basis(A3.word("xyx"))
+    # a tree's leaves are its input: a leaf word must be a basis word
+    leaf = LieTree(A3.word("yx"), None, None)
+    with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
+        tree_value(LieTree.pair(LieTree.leaf(A3, "z"), leaf))
+    assert tree_value(LieTree(xy, None, None)) == LiePoly.basis(xy)
 
 
 def test_a_bool_coefficient_is_refused():
@@ -383,6 +389,36 @@ def test_a_bool_coefficient_is_refused():
     with pytest.raises(TypeError, match=message):
         LiePoly.basis(xy).scale(True)
     assert LiePoly(A3, {xy: Fraction(4, 2)}).terms == {xy: 2}
+
+
+def test_terms_is_a_fresh_word_keyed_dict():
+    # terms is built from the stored format at each read: a new dict from
+    # word to exact coefficient, which the caller may change freely
+    xy, xz, yx = A3.word("xy"), A3.word("xz"), A3.word("yx")
+    for p in (
+        LiePoly(A3, {xy: Fraction(3, 7), xz: -2}),
+        AssocPoly(A3, {yx: Fraction(1, 2), xz: Fraction(4, 6)}),
+        LiePoly.zero(A3),
+    ):
+        before = (str(p), p.items_deglex(), p.scale(2))
+        terms = p.terms
+        assert terms == p.terms and terms is not p.terms
+        assert all(type(w) is Word and w.alphabet == A3 for w in terms)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in terms.values())
+        terms[xy] = 5
+        terms.pop(xz, None)
+        assert (str(p), p.items_deglex(), p.scale(2)) == before
+        assert p == type(p)(A3, p.terms)
+
+
+def test_a_zero_scalar_adds_nothing():
+    from pclie.lie import _axpy
+
+    dst = {(2, 1): 3}
+    _axpy(dst, 0, {(2, 0): 5, (2, 1): 1})
+    assert dst == {(2, 1): 3}
+    _axpy(dst, -3, {(2, 0): 5, (2, 1): 1})
+    assert dst == {(2, 0): -15}
 
 
 def test_stored_text_equals_the_recursive_rendering():
