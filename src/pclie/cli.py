@@ -9,6 +9,10 @@ brackets deep), reported as ``error: ... too deep``.  ``bracket`` is one
 loop, and printing a tree does not recurse: its text is made with it.
 ``basis`` lists the texts of the basis brackets, folded without a tree
 or a word per listed element; each word is read off its tree's text.
+
+Each call builds only the output that its ``--format`` prints: a
+subcommand hands ``_emit`` its text lines and its JSON record as two
+builders, and ``_emit``, the one reader of ``--format``, calls one.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ from .words import Alphabet, _read_decl_file, enumerate_alsw, is_alsw, lyndon_fa
 
 
 def _poly_json(p):
-    return [
-        {"word": str(w), "coeff": coeff_str(c)} for w, c in p.items_deglex()
-    ]
+    return [{"word": str(w), "coeff": coeff_str(c)} for w, c in p.items_deglex()]
 
 
 def _load_graph(path):
@@ -66,41 +68,42 @@ def _load_rules(path):
     return alphabet, rules
 
 
-def _emit(args, text_lines, record):
+def _emit(args, text, record):
+    """Print ``record()`` as JSON or the lines of ``text()``, by ``--format``."""
     if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
-    elif text_lines:
-        print("\n".join(text_lines))
+        print(json.dumps(record(), sort_keys=True))
+    elif lines := text():
+        print("\n".join(lines))
 
 
 def cmd_alsw(args):
     alphabet = Alphabet.from_decl(args.alphabet)
     words = enumerate_alsw(alphabet, args.max_deg)
-    dims = [0] * args.max_deg
-    for w in words:
-        dims[len(w) - 1] += 1
     texts = [str(w) for w in words]
-    _emit(
-        args,
-        texts,
-        {
+
+    def record():
+        dims = [0] * args.max_deg
+        for w in words:
+            dims[len(w) - 1] += 1
+        return {
             "alphabet": alphabet.decl(),
             "max_deg": args.max_deg,
             "words": texts,
             "dimensions": dims,
-        },
-    )
+        }
+
+    _emit(args, lambda: texts, record)
     return 0
 
 
 def cmd_factorize(args):
     alphabet = Alphabet.from_decl(args.alphabet)
     word = alphabet.word(args.word)
-    factors = lyndon_factorize(word)
+    factors = [str(f) for f in lyndon_factorize(word)]
     _emit(
         args,
-        [" ".join(str(f) for f in factors)],
-        {"word": str(word), "factors": [str(f) for f in factors]},
+        lambda: [" ".join(factors)],
+        lambda: {"word": str(word), "factors": factors},
     )
     return 0
 
@@ -111,7 +114,7 @@ def cmd_bracket(args):
     if not is_alsw(word):
         raise ValueError(f"{word} is not a Lyndon-Shirshov word")
     tree = bracket(word)
-    _emit(args, [str(tree)], {"word": str(word), "tree": str(tree)})
+    _emit(args, lambda: [str(tree)], lambda: {"word": str(word), "tree": str(tree)})
     return 0
 
 
@@ -121,8 +124,8 @@ def cmd_nf(args):
     nf = pc_normal_form(poly, graph)
     _emit(
         args,
-        [str(nf)],
-        {
+        lambda: [str(nf)],
+        lambda: {
             "expr": args.expr,
             "normal_form": _poly_json(nf),
             "normal_form_text": str(nf),
@@ -135,30 +138,27 @@ def cmd_verify(args):
     graph = _load_graph(args.theta)
     rules = generate_relations(graph, args.max_deg)
     report = is_gsb(rules, args.max_deg)
-    lines = ["ok" if report.ok else "fail"]
-    fail_records = []
-    for amb, rem in report.failures:
-        lines.append(
-            f"{amb.kind} w={amb.w} f={amb.f.body} g={amb.g.body} remainder={rem}"
-        )
-        fail_records.append(
-            {
-                "kind": amb.kind,
-                "w": str(amb.w),
-                "f": str(amb.f.body),
-                "g": str(amb.g.body),
-                "remainder": _poly_json(rem),
-            }
-        )
     _emit(
         args,
-        lines,
-        {
+        lambda: ["ok" if report.ok else "fail"] + [
+            f"{amb.kind} w={amb.w} f={amb.f.body} g={amb.g.body} remainder={rem}"
+            for amb, rem in report.failures
+        ],
+        lambda: {
             "ok": report.ok,
             "max_deg": args.max_deg,
             "rules": len(rules),
             "ambiguities": report.ambiguities_checked,
-            "failures": fail_records,
+            "failures": [
+                {
+                    "kind": amb.kind,
+                    "w": str(amb.w),
+                    "f": str(amb.f.body),
+                    "g": str(amb.g.body),
+                    "remainder": _poly_json(rem),
+                }
+                for amb, rem in report.failures
+            ],
         },
     )
     return 0 if report.ok else 1
@@ -166,48 +166,48 @@ def cmd_verify(args):
 
 def cmd_basis(args):
     graph = _load_graph(args.theta)
-    lines = []
-    record = {"max_deg": args.max_deg}
     if args.dims_only:
         # the trees are never printed, so only the words are counted
-        dims = graded_dimensions(graph, args.max_deg)
+        levels, dims = [], graded_dimensions(graph, args.max_deg)
     else:
         levels = basis_texts(graph, args.max_deg)
         dims = [len(level) for level in levels]
-        # a word is its tree's text without the brackets (a letter name
-        # holds neither brackets nor spaces), and without the spaces too
-        # when every letter is one character, as words print
-        drop = str.maketrans("", "", "() " if graph.alphabet._compact else "()")
-        # list the elements only in the format that is printed
-        if args.format == "json":
-            record["elements"] = [
+    oracle = clique_series_dims(graph, args.max_deg) if args.cross_check else None
+    ok = not args.cross_check or oracle == dims
+    # a word is its tree's text without the brackets, and without the spaces
+    # too when every letter is one character (no letter name holds either)
+    drop = str.maketrans("", "", "() " if graph.alphabet._compact else "()")
+
+    def text():
+        lines = [
+            f"{d}\t{t.translate(drop)}\t{t}"
+            for d, level in enumerate(levels, 1)
+            for t in level
+        ]
+        lines.append(" ".join(f"{d+1}:{n}" for d, n in enumerate(dims)))
+        if args.cross_check:
+            verdict = "ok" if ok else f"MISMATCH series={oracle} basis={dims}"
+            lines.append(f"cross-check: {verdict}")
+        return lines
+
+    def record():
+        rec = {"max_deg": args.max_deg, "dimensions": dims}
+        if not args.dims_only:
+            rec["elements"] = [
                 {"degree": d, "word": t.translate(drop), "tree": t}
                 for d, level in enumerate(levels, 1)
                 for t in level
             ]
-        else:
-            lines = [
-                f"{d}\t{t.translate(drop)}\t{t}"
-                for d, level in enumerate(levels, 1)
-                for t in level
-            ]
-    record["dimensions"] = dims
-    lines.append(" ".join(f"{d+1}:{n}" for d, n in enumerate(dims)))
-    exit_code = 0
-    if args.cross_check:
-        oracle = clique_series_dims(graph, args.max_deg)
-        record["cross_check"] = {
-            "ok": oracle == dims,
-            "series_dims": oracle,
-            "assoc_series": assoc_hilbert_series(graph, args.max_deg),
-        }
-        if oracle == dims:
-            lines.append("cross-check: ok")
-        else:
-            lines.append(f"cross-check: MISMATCH series={oracle} basis={dims}")
-            exit_code = 1
-    _emit(args, lines, record)
-    return exit_code
+        if args.cross_check:
+            rec["cross_check"] = {
+                "ok": ok,
+                "series_dims": oracle,
+                "assoc_series": assoc_hilbert_series(graph, args.max_deg),
+            }
+        return rec
+
+    _emit(args, text, record)
+    return 0 if ok else 1
 
 
 def cmd_complete(args):
@@ -215,8 +215,8 @@ def cmd_complete(args):
     closed = complete(rules, args.max_deg)
     _emit(
         args,
-        [str(r.body) for r in closed],
-        {
+        lambda: [str(r.body) for r in closed],
+        lambda: {
             "max_deg": args.max_deg,
             "input_rules": len(rules),
             "rules": [

@@ -150,6 +150,94 @@ def test_verify_json(capsys, theta):
     assert rec["failures"] == []
 
 
+def _unclosed_relations(monkeypatch):
+    # the relations [xy] and [yz] on x > y > z, which are not closed: by the
+    # theorem a graph's own relations always verify, so no graph gets here
+    from pclie import Alphabet, LiePoly, Rule
+
+    al = Alphabet.from_decl("x > y > z")
+    rules = [Rule(LiePoly.basis(al.word(w))) for w in ("xy", "yz")]
+    monkeypatch.setattr("pclie.cli.generate_relations", lambda graph, max_deg: rules)
+
+
+def test_verify_failure_exits_1(capsys, theta, monkeypatch):
+    _unclosed_relations(monkeypatch)
+    path = theta("xy_yz.theta", XY_YZ)
+    argv = ["verify", "--theta", path, "--max-deg", "4"]
+    assert run(capsys, *argv) == (
+        1, "fail\nintersection w=xyz f=[xy] g=[yz] remainder=[xzy]\n", ""
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "ok": False,
+        "max_deg": 4,
+        "rules": 2,
+        "ambiguities": 1,
+        "failures": [
+            {
+                "kind": "intersection",
+                "w": "xyz",
+                "f": "[xy]",
+                "g": "[yz]",
+                "remainder": [{"word": "xzy", "coeff": "1"}],
+            }
+        ],
+    }
+
+
+def test_basis_cross_check_mismatch_exits_1(capsys, theta, monkeypatch):
+    monkeypatch.setattr("pclie.cli.clique_series_dims", lambda graph, max_deg: [9] * max_deg)
+    path = theta("xy_yz.theta", XY_YZ)
+    argv = ["basis", "--theta", path, "--max-deg", "3", "--cross-check"]
+    for extra in ([], ["--dims-only"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == [
+            "1:3 2:1 3:2",
+            "cross-check: MISMATCH series=[9, 9, 9] basis=[3, 1, 2]",
+        ]
+        code, out, err = run(capsys, *argv, *extra, "--format", "json")
+        assert (code, err) == (1, "")
+        rec = json.loads(out)
+        assert rec["dimensions"] == [3, 1, 2]
+        assert rec["cross_check"] == {
+            "ok": False,
+            "series_dims": [9, 9, 9],
+            "assoc_series": [1, 3, 7, 15],
+        }
+        assert ("elements" in rec) == (extra == [])
+
+
+def test_only_the_printed_format_is_built(capsys, theta, monkeypatch):
+    # each call builds the output its --format prints, and nothing of the
+    # other: the text of a Lie element, its JSON terms or the associative
+    # series of the cross-check
+    from pclie import LiePoly
+
+    rules = theta("pair.rules", "x > y > z\n(x y)\n(y z)\n")
+    path = theta("xy_yz.theta", XY_YZ)
+    json_calls = [["complete", "--rules", rules, "--max-deg", "5", "--format", "json"]]
+    text_calls = [
+        ["nf", "--theta", path, "--expr", "(x (y z)) + 2*(x (x z))"],
+        ["verify", "--theta", path, "--max-deg", "4"],
+        ["basis", "--theta", path, "--max-deg", "5", "--cross-check"],
+    ]
+    _unclosed_relations(monkeypatch)
+    outputs = [run(capsys, *argv) for argv in json_calls + text_calls]
+    assert [code for code, _, _ in outputs] == [0, 0, 1, 0]
+
+    def refuse(*args):
+        raise AssertionError("built an output that is not printed")
+
+    with monkeypatch.context() as m:
+        m.setattr(LiePoly, "__str__", refuse)
+        assert [run(capsys, *argv) for argv in json_calls] == outputs[:1]
+    monkeypatch.setattr("pclie.cli._poly_json", refuse)
+    monkeypatch.setattr("pclie.cli.assoc_hilbert_series", refuse)
+    assert [run(capsys, *argv) for argv in text_calls] == outputs[1:]
+
+
 REFERENCE = "x > y > z > w\nx y\nx z\ny z\nz w\n"
 
 

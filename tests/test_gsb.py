@@ -11,9 +11,11 @@ import pytest
 
 from pclie import (
     Alphabet,
+    Ambiguity,
     InvariantError,
     LiePoly,
     Rule,
+    Word,
     complete,
     composition,
     deglex_key,
@@ -30,6 +32,7 @@ from oracles import (
     SpanReducer,
     ambiguities_by_definition,
     complete_by_restart,
+    is_alsw_by_rotations,
     normal_s_word_by_expansion,
     reduce_by_fractions,
     witt_count,
@@ -103,6 +106,32 @@ def test_find_ambiguities_matches_the_definition():
             seen[m.kind] += 1
             seen["shared leading word"] += m.f_index != m.g_index and m.f.leading == m.g.leading
     assert min(seen.values()) >= 40 and seen["intersection"] > 100, seen
+
+
+def test_overlapping_lyndon_shirshov_words_glue_into_one():
+    # u = ac and v = cb Lyndon-Shirshov words, with a, b and c non-empty:
+    # acb is Lyndon-Shirshov, so an intersection witness needs no test.
+    # Every such overlap of two words up to the degree is checked
+    overlaps = 0
+    for alphabet, d in ((A3, 6), (A4, 5), (A2, 9)):
+        words = [w.ranks for w in enumerate_alsw(alphabet, d)]
+        for u in words:
+            for v in words:
+                # v starts at i in u and ends past it
+                for i in range(max(1, len(u) - len(v) + 1), len(u)):
+                    if u[i:] == v[: len(u) - i]:
+                        overlaps += 1
+                        glued = Word(alphabet, u + v[len(u) - i :])
+                        assert is_alsw_by_rotations(glued), (u, v, i)
+    assert overlaps == 18767
+
+
+def test_composition_refuses_a_witness_that_is_not_lyndon_shirshov():
+    # the witness is checked where its composition is formed, not dropped
+    f = single(A2, "xy")
+    amb = Ambiguity("intersection", 0, 0, f, f, A2.word("xyxy"), 2)
+    with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
+        composition(amb)
 
 
 def test_reduce_rewrites_the_lowest_index_rule_at_its_leftmost_occurrence():

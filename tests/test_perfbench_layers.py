@@ -34,26 +34,50 @@ def test_traced_names_resolve_on_the_package():
         assert hasattr(getattr(pclie_module(mod), attr), "cache_info"), f"{mod}.{attr}"
 
 
-def test_every_tracer_only_import_is_a_traced_binding():
-    # an import kept only for the tracer is marked noqa: F401; once the
-    # tracer stops wrapping that binding, the import is dead and fails here
-    layers = load_layers()
-    bound = {(mod, attr) for mod, attr, _ in layers.BINDINGS}
+def package_imports():
+    """Each import statement of a module of src/pclie, as (module name,
+    node, whether it is marked noqa: F401, the names the module reads)."""
     src = os.path.join(ROOT, "src", "pclie")
-    marked = []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             text = fh.read()
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-                marked += [(name[:-3], alias.asname or alias.name) for alias in node.names]
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                span = lines[node.lineno - 1 : node.end_lineno]
+                yield name[:-3], node, any("# noqa: F401" in line for line in span), read
+
+
+def test_every_tracer_only_import_is_a_traced_binding():
+    # an import kept only for the tracer is marked noqa: F401; once the
+    # tracer stops wrapping that binding, the import is dead and fails here
+    layers = load_layers()
+    bound = {(mod, attr) for mod, attr, _ in layers.BINDINGS}
+    marked = [
+        (mod, alias.asname or alias.name)
+        for mod, node, noqa, _ in package_imports()
+        if noqa
+        for alias in node.names
+    ]
     assert marked
     assert [b for b in marked if b not in bound] == []
+
+
+def test_every_import_is_used_or_marked_for_the_tracer():
+    # a name a module imports is read in that module, or kept only for the
+    # tracer and marked noqa: F401 (checked above).  The package's
+    # __init__ is left out: its imports are the public names
+    unused = [
+        f"{mod}: {alias.asname or alias.name}"
+        for mod, node, noqa, read in package_imports()
+        if not noqa and mod != "__init__" and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+    assert unused == []
 
 
 def test_normal_s_word_calls_special_bracket_through_the_module_global(monkeypatch):
