@@ -32,6 +32,7 @@ from .lie import (
     tree_value,
 )
 from .lie import _basis_bracket  # emptied by clear_caches
+from .rules import _normal_s_word  # emptied by clear_caches
 from .rules import (
     InvariantError,
     Occurrence,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every module-level cache: the Lyndon-Shirshov test, canonical
-    brackets, associative expansions, the basis bracket table and normal
-    s-words.  Results do not change; only memory is given back."""
-    for cached in (is_alsw, bracket, expand, _basis_bracket, normal_s_word):
+    brackets, associative expansions, the basis bracket table and both
+    normal s-word caches.  Results do not change; only memory is given back."""
+    for cached in (is_alsw, bracket, expand, _basis_bracket, _normal_s_word, normal_s_word):
         cached.cache_clear()

@@ -21,11 +21,12 @@ two normal s-words on one host.  A rule pair's ambiguities come from one
 scan over the start positions of g.leading in f.leading, the kind decided
 by where g ends.
 
-The rewrite loop works in the one format of ``lie._Poly``: integer
-numerators over one denominator D.  A step whose normal s-word has a
-denominator d other than 1 brings the work to the denominator D d,
-subtracts in integers and divides out the common factor; exact
-coefficients are built only for the steps and the remainder.
+The rewrite loop works on rank tuples, integer numerators over one
+denominator D, and finds each site by matching a slice, so its normal
+s-words (``rules._normal_s_word``) check no site; the alphabet is checked
+once at each entry, and only ``reduce`` makes ``ReductionStep`` records.
+A normal s-word over d != 1 brings the work to the denominator D d, and
+the common factor is divided out.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from collections import namedtuple
 from math import gcd
 
 from .lie import _axpy, _exact
-from .rules import InvariantError, Rule, normal_s_word
-from .words import LESS, Word, _deglex_max, compare_deglex, deglex_key
+from .rules import InvariantError, Rule, _normal_s_word, normal_s_word
+from .words import Word, _check_same_alphabet, _deglex_max, deglex_key, is_alsw
 
 
 class Ambiguity(namedtuple("Ambiguity", "kind f_index g_index f g w position")):
@@ -89,7 +90,7 @@ def _pair_ambiguities(fi, f, gi, g, max_deg):
         elif i and i + k <= max_deg and fr[i:] == gr[: n - i]:
             # intersection: two Lyndon-Shirshov words glued along a proper,
             # non-empty overlap give a Lyndon-Shirshov word, so the witness
-            # needs no test here (Occurrence checks it once, in composition)
+            # needs no test here (composition checks it once)
             w = Word(f.leading.alphabet, fr + gr[n - i :])
             ambs.append(Ambiguity("intersection", fi, gi, f, g, w, i))
     return ambs
@@ -106,6 +107,8 @@ def find_ambiguities(rules, max_deg):
     most max_deg, sorted by witness (deg-lex), then rule indices."""
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
+    for r in rules:
+        _check_same_alphabet(rules[0].leading, r.leading)
     ambs = []
     for fi, f in enumerate(rules):
         for gi, g in enumerate(rules):
@@ -118,13 +121,17 @@ def composition(amb):
     """The composition polynomial of an ambiguity; zero or strictly below
     the witness: the difference of the normal s-words of f and g at their
     two occurrences in it.  For an inclusion the first is f.body."""
-    result = normal_s_word(amb.w, amb.f, 0) - normal_s_word(amb.w, amb.g, amb.position)
+    # the one check of a site that the engine did not find itself
+    w, p, fr, gr = amb.w.ranks, amb.position, amb.f.leading.ranks, amb.g.leading.ranks
+    _check_same_alphabet(amb.w, amb.f.leading)
+    _check_same_alphabet(amb.w, amb.g.leading)
+    if not is_alsw(amb.w) or w[: len(fr)] != fr or p < 0 or w[p : p + len(gr)] != gr:
+        raise ValueError(f"{amb.w!r} is not a Lyndon-Shirshov word with f at 0, g at {p}")
+    result = _normal_s_word(w, amb.f, 0) - _normal_s_word(w, amb.g, p)
     if result:
-        lead, w = result._lead(), amb.w.ranks
+        lead = result._lead()
         if (len(lead), lead) >= (len(w), w):
-            raise InvariantError(
-                f"composition at {amb.w} does not drop below the witness"
-            )
+            raise InvariantError(f"composition at {amb.w} does not drop below the witness")
     return result
 
 
@@ -137,9 +144,12 @@ def _rewrite(h, find, bound=None):
     rank tuple, or None when the word stays.  Each step subtracts
     coefficient times a normal s-word and strictly decreases the word
     being rewritten, so the trace is finite.  With a bound given, a step
-    at or above it is an error.
+    at or above it is an error.  Returns the steps, each (rule index, rule,
+    rank tuple, position, coefficient numerator, coefficient denominator),
+    and the remainder.
     """
     alphabet = h.alphabet
+    key = None if bound is None else (len(bound.ranks), bound.ranks)
     # h is work + done over den, and done holds the words that stay
     work, done, den = dict(h._num), {}, h._den
     steps = []
@@ -150,11 +160,12 @@ def _rewrite(h, find, bound=None):
             done[r0] = work.pop(r0)
             continue
         ri, r, pos = hit
-        c0, w0 = work[r0], Word(alphabet, r0)
-        if bound is not None and compare_deglex(w0, bound) != LESS:
+        c0 = work[r0]
+        if key is not None and (len(r0), r0) >= key:
+            w0 = Word(alphabet, r0)
             raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
-        steps.append(ReductionStep(ri, r, w0, pos, _exact(c0, den)))
-        nsw = normal_s_word(w0, r, pos)
+        steps.append((ri, r, r0, pos, c0, den))
+        nsw = _normal_s_word(r0, r, pos)
         d = nsw._den
         if d == 1:
             _axpy(work, -c0, nsw._num)
@@ -170,16 +181,12 @@ def _rewrite(h, find, bound=None):
             work = {k: v // g for k, v in work.items()}
             done = {k: v // g for k, v in done.items()}
             den //= g
-    return ReductionTrace(input=h, steps=steps, remainder=h._make(alphabet, done, den))
+    return steps, h._make(alphabet, done, den)
 
 
-def reduce(h, rules, bound=None):
-    """Rewrite h modulo the rules until no basis word of the remainder
-    contains any rule's leading word.
-
-    Among the rules matching the greatest reducible word the lowest index
-    wins, then the leftmost occurrence; see ``_rewrite`` for the loop.
-    """
+def _first_site(rules):
+    """``_rewrite``'s find modulo a rule list, read at each call: the
+    lowest-index rule that occurs in the word, at its leftmost occurrence."""
 
     def find(wr):
         for ri, r in enumerate(rules):
@@ -190,7 +197,18 @@ def reduce(h, rules, bound=None):
                     return ri, r, i
         return None
 
-    return _rewrite(h, find, bound)
+    return find
+
+
+def reduce(h, rules, bound=None):
+    """Rewrite h modulo the rules until no word of the remainder contains a
+    rule's leading word; the lowest-index matching rule of the greatest
+    reducible word wins, then the leftmost occurrence (see ``_rewrite``)."""
+    for w in [r.leading for r in rules] + ([] if bound is None else [bound]):
+        _check_same_alphabet(h, w)
+    raw, remainder = _rewrite(h, _first_site(rules), bound)
+    steps = [ReductionStep(i, r, Word(h.alphabet, w), p, _exact(n, d)) for i, r, w, p, n, d in raw]
+    return ReductionTrace(input=h, steps=steps, remainder=remainder)
 
 
 class GsbReport(namedtuple("GsbReport", "ok max_deg ambiguities_checked failures")):
@@ -211,8 +229,9 @@ def is_gsb(rules, max_deg):
     passes when all compositions reduce to zero below their witness."""
     failures = []
     ambs = find_ambiguities(rules, max_deg)
+    find = _first_site(rules)
     for amb in ambs:
-        rem = reduce(composition(amb), rules, bound=amb.w).remainder
+        _, rem = _rewrite(composition(amb), find, amb.w)
         if not rem.is_zero():
             failures.append((amb, rem))
     return GsbReport(
@@ -253,9 +272,10 @@ def complete(rules, max_deg):
     current = list(rules)
     # sorted by key; keys are unique, so ambiguities are never compared
     queue = [(_ambiguity_key(m), m) for m in find_ambiguities(current, max_deg)]
+    find = _first_site(current)
     while queue:
         _, amb = queue.pop(0)
-        rem = reduce(composition(amb), current, bound=amb.w).remainder
+        _, rem = _rewrite(composition(amb), find, amb.w)
         if rem.is_zero():
             continue
         ni, new = len(current), Rule.monic(rem)

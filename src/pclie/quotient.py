@@ -288,7 +288,7 @@ def pc_normal_form(p, graph):
         p = tree_value(p)
     if p.alphabet != graph.alphabet:
         raise ValueError("polynomial and graph use different alphabets")
-    return gsb._rewrite(p, partial(_least_pattern, graph)).remainder
+    return gsb._rewrite(p, partial(_least_pattern, graph))[1]
 
 
 def verify_relations(graph, max_deg):

@@ -6,14 +6,14 @@ needs a bracketing of the host that isolates the occurrence; the special
 bracketing below provides it, and substituting the rule body into the
 isolated slot yields the normal s-word whose leading word is the host.
 Every rewrite site is named by host word, rule and position, as
-``Occurrence`` names it.  A special bracketing is kept as the sibling
-words along its slot path, read off the standard splits of the host, and
-both its tree and the normal s-word are folds over them.  The
-substitution is evaluated in the Lyndon-Shirshov basis, on the integer
-numerators of the one format of ``lie._Poly``: the body's numerators are
-bracketed with each sibling word in turn, deepest first, a single basis
-element each, over the body's denominator; no tree is built (trees only
-when ``tree`` is read).
+``Occurrence`` names it.  A special bracketing is the sibling list along
+its slot path, from one walk (``_slot_path``) down the standard splits of
+the host's rank tuple; its tree and the normal s-word are folds over it.
+The substitution runs in the Lyndon-Shirshov basis on the integer
+numerators of ``lie._Poly``: the body is bracketed with each sibling in
+turn, deepest first, one basis element each; no tree or word is built.
+The engine's normal s-words, ``_normal_s_word``, are keyed by rank tuple
+and trust their site; the public ``normal_s_word`` checks it first.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .lie import LieTree, _bracket_terms, bracket, expand
-# commutator and nlsw_decompose are not called here (normal_s_word brackets
-# in the Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
+# commutator, nlsw_decompose and lyndon_factorize are not called here (normal
+# s-words are built on rank tuples), but perfbench/layers.py wraps them
 from .lie import commutator, nlsw_decompose  # noqa: F401
-from .words import (
-    _check_same_alphabet,
-    _deglex_max,
-    _standard_cut,
-    is_alsw,
-    lyndon_factorize,
-)
+from .words import Word, _check_same_alphabet, _deglex_max, _factor_bounds, _standard_cut, is_alsw
+from .words import lyndon_factorize  # noqa: F401
 
 
 class InvariantError(ArithmeticError):
@@ -137,6 +132,29 @@ def _fold(sides, value, pair):
     return value
 
 
+def _slot_path(r, p, q):
+    """The sides of the special bracketing of the Lyndon-Shirshov rank tuple
+    r at the slot [p, q), siblings as rank tuples: the walk down the
+    standard splits to the smallest span holding [p, q), which by
+    containment starts at p, then the factors of its overhang."""
+    start, end, sides = 0, len(r), []
+    while end - start > 1:
+        mid = start + _standard_cut(r[start:end])
+        if q <= mid:
+            sides.append((0, r[mid:end]))
+            end = mid
+        elif p >= mid:
+            sides.append((1, r[start:mid]))
+            start = mid
+        else:
+            break
+    if start != p:
+        raise InvariantError(f"no subtree of the bracket of {r} starts at {p}: containment failed")
+    # [ck] is the sibling nearest the root in [[[sub][c1]]...[ck]]
+    sides += [(0, r[q + a : q + b]) for a, b in reversed(list(_factor_bounds(r[q:end])))]
+    return sides
+
+
 def special_bracket(occ):
     """The special bracketing of [host] at an occurrence of sub.
 
@@ -147,31 +165,30 @@ def special_bracket(occ):
     of c.  The expansion of the result still leads with the host word.
     """
     u, v, p = occ
-    q = p + len(v)
+    sides = _slot_path(u.ranks, p, p + len(v))
+    return SpecialBracketing([(step, Word(u.alphabet, sib)) for step, sib in sides], occ)
 
-    # descend the standard splits to the smallest span [start, end) holding
-    # [p, q), noting each sibling word; by containment it starts at p
-    r, start, end, sides = u.ranks, 0, len(u), []
-    while end - start > 1:
-        mid = start + _standard_cut(r[start:end])
-        if q <= mid:
-            sides.append((0, u[mid:end]))
-            end = mid
-        elif p >= mid:
-            sides.append((1, u[start:mid]))
-            start = mid
-        else:
-            break
-    if start != p:
-        raise InvariantError(
-            f"no subtree of [{u}] starts at position {p}; "
-            "the containment property failed"
-        )
 
-    if q < end:
-        # [ck] is the sibling nearest the root in [[[sub][c1]]...[ck]]
-        sides += [(0, c) for c in reversed(lyndon_factorize(u[q:end]))]
-    return SpecialBracketing(sides, occ)
+def _substitute(body, sides, ranks):
+    """The rule body in the slot of the special bracketing with these sides
+    (siblings as rank tuples, one basis element each) of the host ranks;
+    checked to lead with the host, coefficient 1."""
+    num = _fold([(step, {sib: 1}) for step, sib in sides], body._num, _bracket_terms)
+    result = body._make(body.alphabet, num, body._den)
+    num, den = result._num, result._den
+    lead = _deglex_max(num) if num else None
+    if lead != ranks or num[lead] != den:
+        w = Word(body.alphabet, ranks)
+        raise InvariantError(f"normal s-word {w} lead check failed: {result}")
+    return result
+
+
+@lru_cache(maxsize=None)
+def _normal_s_word(ranks, s, position):
+    """``normal_s_word`` keyed by rank tuple, at a site the engine found by
+    matching the slice: no site check."""
+    sides = _slot_path(ranks, position, position + len(s.leading.ranks))
+    return _substitute(s.body, sides, ranks)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +198,4 @@ def normal_s_word(w, s, position):
     at that occurrence.  w must be a Lyndon-Shirshov word.  The result
     leads with w, coefficient 1."""
     sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
-    # one basis element per sibling; with none, the result is the body
-    body = s.body
-    basis_sides = [(step, {sib.ranks: 1}) for step, sib in sb.sides]
-    result = body._make(body.alphabet, _fold(basis_sides, body._num, _bracket_terms), body._den)
-    num, den = result._num, result._den
-    lead = _deglex_max(num) if num else None
-    if lead != w.ranks or num[lead] != den:
-        raise InvariantError(f"normal s-word {w} lead check failed: {result}")
-    return result
+    return _substitute(s.body, [(step, sib.ranks) for step, sib in sb.sides], w.ranks)

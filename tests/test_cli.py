@@ -485,7 +485,7 @@ def test_clear_caches_empties_every_cache(capsys, theta):
         for obj in vars(importlib.import_module(f"pclie.{name}")).values()
         if hasattr(obj, "cache_info")
     ]
-    assert len(set(map(id, caches))) == 5
+    assert len(set(map(id, caches))) == 6
     path = theta("xy_yz.theta", XY_YZ)
     argv = ["verify", "--theta", path, "--max-deg", "6", "--format", "json"]
     code, first, _ = run(capsys, *argv)

@@ -14,8 +14,12 @@ from pclie import (
     Ambiguity,
     InvariantError,
     LiePoly,
+    Occurrence,
+    ReductionStep,
     Rule,
+    SpecialBracketing,
     Word,
+    clear_caches,
     complete,
     composition,
     deglex_key,
@@ -26,7 +30,7 @@ from pclie import (
     normal_s_word,
     reduce,
 )
-from pclie.quotient import CommGraph, generate_relations, graded_dimensions
+from pclie.quotient import CommGraph, generate_relations, graded_dimensions, pc_normal_form
 
 from oracles import (
     SpanReducer,
@@ -132,6 +136,75 @@ def test_composition_refuses_a_witness_that_is_not_lyndon_shirshov():
     amb = Ambiguity("intersection", 0, 0, f, f, A2.word("xyxy"), 2)
     with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
         composition(amb)
+
+
+def test_composition_refuses_a_site_where_the_rules_do_not_occur():
+    # a hand-made ambiguity is checked once, where its composition is formed
+    f, g = single(A3, "xy"), single(A3, "yz")
+    w = A3.word("xyz")
+    for amb in (
+        Ambiguity("intersection", 0, 1, f, g, w, 2),
+        Ambiguity("intersection", 0, 1, g, g, w, 1),
+        Ambiguity("intersection", 0, 1, f, g, w, -2),
+    ):
+        with pytest.raises(ValueError, match="with f at 0, g at"):
+            composition(amb)
+    other = Alphabet.from_decl("a > b > c")
+    amb = Ambiguity("intersection", 0, 1, f, single(other, "bc"), w, 1)
+    with pytest.raises(ValueError, match="different alphabets"):
+        composition(amb)
+
+
+def test_rule_lists_of_mixed_alphabets_are_refused():
+    # the engine matches rank tuples, so bc over a > b > c would match the
+    # yz of x > y > z; every entry refuses the list before it starts
+    abc = Alphabet.from_decl("a > b > c")
+    mixed = [single(A3, "xy"), single(abc, "bc")]
+    for call in (find_ambiguities, is_gsb, complete):
+        with pytest.raises(ValueError, match="different alphabets"):
+            call(mixed, 5)
+    h = LiePoly.basis(A3.word("xyz"))
+    for rules, bound in (
+        ([single(abc, "bc")], None),
+        (mixed, None),
+        ([single(A3, "yz")], abc.word("abc")),
+    ):
+        with pytest.raises(ValueError, match="different alphabets"):
+            reduce(h, rules, bound)
+
+
+def test_the_engine_builds_no_step_or_site_record(monkeypatch):
+    # complete, is_gsb and pc_normal_form rewrite on rank tuples: no
+    # reduction step, occurrence or special bracketing is built, and the
+    # results are those of the records' path; reduce still traces its
+    # steps, those of the fraction oracle
+    rules = [Rule.monic(LiePoly(A4, {A4.word("xy"): 2, A4.word("xz"): 3})), single(A4, "yz")]
+    graph = CommGraph(A4, [("x", "y"), ("y", "z"), ("z", "w")])
+    p = LiePoly(A4, {w: 1 for w in enumerate_alsw(A4, 5) if len(w) == 5})
+
+    def run():
+        clear_caches()
+        closed = complete(rules, 6)
+        report = is_gsb(generate_relations(graph, 6), 6)
+        return closed, report, pc_normal_form(p, graph)
+
+    expected = run()
+    assert len(expected[0]) > len(rules) and expected[1].ambiguities_checked > 10
+    amb = find_ambiguities(expected[0], 6)[-1]
+    trace = reduce(composition(amb), expected[0], bound=amb.w)
+    assert trace.steps and all(type(st) is ReductionStep for st in trace.steps)
+    steps, _ = reduce_by_fractions(composition(amb), expected[0])
+    assert [(st.rule_index, st.word, st.position, st.coefficient) for st in trace.steps] == steps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine built a step or site record")
+
+    for cls in (ReductionStep, Occurrence, SpecialBracketing):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    assert run() == expected
+    monkeypatch.undo()
+    clear_caches()
+    assert reduce(composition(amb), expected[0], bound=amb.w) == trace
 
 
 def test_reduce_rewrites_the_lowest_index_rule_at_its_leftmost_occurrence():
@@ -356,17 +429,19 @@ def test_complete_matches_restart_oracle():
 
 def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
     # every normal s-word the engine builds in the closure sweep and in the
-    # completions, against the substituted associative expansion
+    # completions, against the substituted associative expansion; the
+    # engine's kernel is keyed by rank tuple, its host word is rebuilt here
     import pclie.gsb as gsb
 
     calls = {}
-    real = gsb.normal_s_word
+    real = gsb._normal_s_word
 
-    def recording(w, s, position):
-        calls[w, s, position] = result = real(w, s, position)
+    def recording(ranks, s, position):
+        w = Word(s.leading.alphabet, ranks)
+        calls[w, s, position] = result = real(ranks, s, position)
         return result
 
-    monkeypatch.setattr(gsb, "normal_s_word", recording)
+    monkeypatch.setattr(gsb, "_normal_s_word", recording)
     pairs = list(itertools.combinations(A4.letters, 2))
     for k in range(len(pairs) + 1):
         for edges in itertools.combinations(pairs, k):
@@ -398,17 +473,19 @@ def test_reduce_matches_the_fraction_oracle_on_coprime_denominators(monkeypatch)
     # rewrite loop's common denominator changes at most steps: every step
     # (rule, word, position, coefficient) and the remainder equal those of
     # plain Fraction arithmetic on the expansion oracle's normal s-words,
-    # and so does every normal s-word the loop asks for
+    # and so does every normal s-word the loop asks for (of the engine's
+    # kernel, keyed by rank tuple; its host word is rebuilt here)
     import pclie.gsb as gsb
 
     calls = {}
-    real = gsb.normal_s_word
+    real = gsb._normal_s_word
 
-    def recording(w, s, position):
-        calls[w, s, position] = result = real(w, s, position)
+    def recording(ranks, s, position):
+        w = Word(s.leading.alphabet, ranks)
+        calls[w, s, position] = result = real(ranks, s, position)
         return result
 
-    monkeypatch.setattr(gsb, "normal_s_word", recording)
+    monkeypatch.setattr(gsb, "_normal_s_word", recording)
     rng = random.Random(2)
 
     def coeff():
@@ -499,14 +576,15 @@ def test_invariant_checks_fire_under_optimize():
         except InvariantError:
             fired.append("normal_s_word")
 
-        # a doubled normal s-word of f: the witness no longer cancels
-        real = gsb.normal_s_word
+        # a doubled normal s-word of f (the engine's kernel, keyed by rank
+        # tuple): the witness no longer cancels
+        real = gsb._normal_s_word
 
-        def doubled(w, s, position):
-            nsw = real(w, s, position)
+        def doubled(ranks, s, position):
+            nsw = real(ranks, s, position)
             return nsw.scale(2) if s == xy else nsw
 
-        gsb.normal_s_word = doubled
+        gsb._normal_s_word = doubled
         amb = find_ambiguities([xy, yz], 6)[0]
         try:
             composition(amb)

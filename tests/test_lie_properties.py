@@ -1,12 +1,14 @@
 """Property tests of the Lie-native arithmetic: the bracket of basis
 coordinates is antisymmetric, satisfies the Jacobi identity and agrees
 with the associative route, and so do the values of random trees in the
-expression front end and in the normal form."""
+expression front end and in the normal form.  The normal form is
+idempotent and supported on the basis words of its graph."""
 
+import functools
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pclie import (
     Alphabet,
@@ -14,8 +16,10 @@ from pclie import (
     LiePoly,
     LieTree,
     enumerate_alsw,
+    irr_words,
     lie_bracket,
     pc_normal_form,
+    tree_value,
 )
 from pclie.quotient import CommGraph
 
@@ -44,6 +48,21 @@ trees = st.recursive(
     lambda kids: st.tuples(kids, kids).map(lambda lr: LieTree.pair(*lr)),
     max_leaves=8,
 )
+
+
+@st.composite
+def nonzero_trees(draw, max_deg):
+    """A tree of degree 2..max_deg, each degree alike, with a non-zero value."""
+
+    def build(n):
+        if n == 1:
+            return LieTree.leaf(A4, draw(st.sampled_from(A4.letters)))
+        k = draw(st.integers(1, n - 1))
+        return LieTree.pair(build(k), build(n - k))
+
+    tree = build(draw(st.integers(2, max_deg)))
+    assume(not tree_value(tree).is_zero())
+    return tree
 
 
 @PROPERTIES
@@ -80,3 +99,17 @@ def test_normal_form_of_a_tree_matches_the_expansion(tree, edges):
     graph = CommGraph(A4, edges)
     expected = pc_normal_form(tree_value_by_expansion(tree), graph)
     assert pc_normal_form(tree, graph) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def basis_words(edges):
+    return frozenset(irr_words(CommGraph(A4, edges), 7))
+
+
+@settings(PROPERTIES, max_examples=300)
+@given(nonzero_trees(7), st.frozensets(st.sampled_from(PAIRS4)))
+def test_normal_form_is_idempotent_and_supported_on_the_basis(tree, edges):
+    graph = CommGraph(A4, edges)
+    nf = pc_normal_form(tree, graph)
+    assert pc_normal_form(nf, graph) == nf
+    assert set(nf.terms) <= basis_words(edges)

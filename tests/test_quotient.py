@@ -9,6 +9,7 @@ from pclie import (
     Alphabet,
     LiePoly,
     LieTree,
+    Word,
     bracket,
     clear_caches,
     compare_lex,
@@ -17,7 +18,7 @@ from pclie import (
     is_nlsw,
     nlsw_decompose,
 )
-from pclie.gsb import _rewrite, reduce
+from pclie.gsb import ReductionStep, ReductionTrace, _rewrite, reduce
 from pclie.quotient import (
     CommGraph,
     _least_pattern,
@@ -344,7 +345,15 @@ def test_pc_normal_form_is_reduce_modulo_the_relations():
             p = LiePoly(A4, {w: rng.randint(-4, 4) for w in rng.sample(words, 3)})
             if p.is_zero():
                 continue
-            tr = _rewrite(p, functools.partial(_least_pattern, g))
+            raw, remainder = _rewrite(p, functools.partial(_least_pattern, g))
+            tr = ReductionTrace(
+                p,
+                [
+                    ReductionStep(ri, r, Word(A4, ranks), pos, Fraction(n, d))
+                    for ri, r, ranks, pos, n, d in raw
+                ],
+                remainder,
+            )
             assert tr.check_identity()
             assert all(st.rule_index is None for st in tr.steps)
             expected = reduce(p, generate_relations(g, max(p.degree(), 2)))

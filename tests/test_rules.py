@@ -178,8 +178,11 @@ def test_normal_s_word_builds_no_tree(monkeypatch):
 
 
 def test_the_engine_fills_no_bracket_cache():
-    # completion, the closure check and normal forms rewrite through normal
-    # s-words, which are built from sibling words, never from trees
+    # completion, the closure check and normal forms rewrite through the
+    # engine's normal s-words, keyed by rank tuple and built from sibling
+    # rank tuples, never from trees; the public, Word-keyed cache stays empty
+    from pclie.rules import _normal_s_word
+
     clear_caches()
     rules = [Rule(LiePoly.basis(A3.word(w))) for w in ("xy", "yz")]
     assert len(complete(rules, 5)) > len(rules)
@@ -188,7 +191,8 @@ def test_the_engine_fills_no_bracket_cache():
     x, y, z = (LieTree.leaf(A3, s) for s in "xyz")
     tree = LieTree.pair(LieTree.pair(x, z), LieTree.pair(y, LieTree.pair(x, y)))
     pc_normal_form(tree, g)
-    assert normal_s_word.cache_info().currsize > 0
+    assert _normal_s_word.cache_info().currsize > 0
+    assert normal_s_word.cache_info().currsize == 0
     assert bracket.cache_info().currsize == 0
 
 
