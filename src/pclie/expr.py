@@ -23,7 +23,9 @@ from .words import LETTER_NAME
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import expand, nlsw_decompose  # noqa: F401
 
-_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({LETTER_NAME})|([()+\-*/]))")
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<int>[0-9]+)|(?P<sym>{LETTER_NAME})|(?P<op>[()+\-*/])|(?P<bad>\S))"
+)
 
 
 class ParseError(ValueError):
@@ -36,21 +38,11 @@ class ParseError(ValueError):
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("sym", m.group(2), m.start(2)))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        i = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 

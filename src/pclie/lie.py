@@ -67,7 +67,7 @@ def coeff_str(c):
 
 
 class LieTree:
-    """A fully bracketed word: a leaf letter or an ordered pair of trees."""
+    """A fully bracketed word: a one-letter leaf or an ordered pair of trees."""
 
     __slots__ = ("word", "left", "right", "_text")
 
@@ -75,6 +75,8 @@ class LieTree:
         self.word = word
         self.left = left
         self.right = right
+        if left is None and len(word) != 1:
+            raise ValueError(f"a leaf is one letter, not {word!r}")
         # children exist before their parent, so each node is rendered once
         self._text = word[0] if left is None else f"({left._text} {right._text})"
 
@@ -484,11 +486,7 @@ def _tree_terms(t):
             right = values.pop()
             values[-1] = _bracket_terms(values[-1], right)
         elif node.left is None:
-            # a leaf is a basis element: a letter, or checked here
-            r = node.word.ranks
-            if len(r) != 1 and not is_alsw(node.word):
-                raise ValueError(f"{node.word!r} is not a Lyndon-Shirshov word")
-            values.append({r: 1})
+            values.append({node.word.ranks: 1})
         else:
             todo += (None, node.right, node.left)
     return values[0]

@@ -28,11 +28,20 @@ from .rules import Rule
 # normal_s_word is not called here (pc_normal_form rewrites through gsb),
 # but perfbench/layers.py traces the package by wrapping this binding
 from .rules import normal_s_word  # noqa: F401
-from .words import Word, _alsw_ranks, _read_decl_file, deglex_key
+from .words import Word, _alsw_ranks, _read_decl_file
 # enumerate_alsw is not called here either (the basis walk runs the pruned
 # generator), but perfbench/layers.py wraps this binding too
 from .words import enumerate_alsw  # noqa: F401
 from . import gsb
+
+
+def _edge(alphabet, a, b):
+    """The edge between the letters a and b as (smaller rank, larger
+    rank); a loop is refused."""
+    ra, rb = alphabet.rank(a), alphabet.rank(b)
+    if ra == rb:
+        raise ValueError(f"commutation relation must be irreflexive: ({a},{b})")
+    return (ra, rb) if ra < rb else (rb, ra)
 
 
 class CommGraph:
@@ -41,12 +50,7 @@ class CommGraph:
     __slots__ = ("alphabet", "edges", "_below")
 
     def __init__(self, alphabet, edges):
-        norm = set()
-        for a, b in edges:
-            ra, rb = alphabet.rank(a), alphabet.rank(b)
-            if ra == rb:
-                raise ValueError(f"commutation relation must be irreflexive: ({a},{b})")
-            norm.add((min(ra, rb), max(ra, rb)))
+        norm = {_edge(alphabet, a, b) for a, b in edges}
         self.alphabet = alphabet
         self.edges = frozenset(norm)
         # _below[r]: the ranks r dominates (smaller and commuting with r)
@@ -64,7 +68,7 @@ class CommGraph:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"expected two letters, got {line!r}")
-            cls(alphabet, [parts])  # refuses an unknown letter or a loop
+            _edge(alphabet, *parts)  # refuses an unknown letter or a loop
             return parts
 
         return cls(*_read_decl_file(text, "graph", edge))
@@ -143,9 +147,9 @@ def generate_relations(graph, max_deg):
         for y in below[x]:
             for length in range(0, max_deg - 1):
                 for mid in itertools.product(below[y], repeat=length):
-                    leads.append(Word(alphabet, (x,) + mid + (y,)))
-    leads.sort(key=deglex_key)
-    return [_pattern_rule(w) for w in leads]
+                    leads.append((x,) + mid + (y,))
+    leads.sort(key=lambda r: (len(r), r))
+    return [_pattern_rule(alphabet, r) for r in leads]
 
 
 def _irr_ranks(graph, max_deg):
@@ -252,10 +256,11 @@ def graded_dimensions(graph, max_deg):
     return [len(level) for level in _irr_ranks(graph, max_deg)]
 
 
-def _pattern_rule(word):
-    """The defining rule of a pattern word: the basis element [word], monic
-    because a pattern word is Lyndon-Shirshov."""
-    return Rule(LiePoly.basis(word))
+def _pattern_rule(alphabet, ranks):
+    """The defining rule of the pattern word x u y with this rank tuple:
+    the basis element [x u y], built unchecked, for x is the one greatest
+    letter of the word, so the word is Lyndon-Shirshov."""
+    return Rule(LiePoly._make(alphabet, {ranks: 1}))
 
 
 def _least_pattern(graph, ranks):
@@ -271,7 +276,7 @@ def _least_pattern(graph, ranks):
     if span is None:
         return None
     i, j = span
-    return None, _pattern_rule(Word(graph.alphabet, ranks[i:j])), i
+    return None, _pattern_rule(graph.alphabet, ranks[i:j]), i
 
 
 def pc_normal_form(p, graph):

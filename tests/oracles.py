@@ -34,10 +34,14 @@ with ``nlsw_decompose`` (``lie_bracket_by_expansion``,
 ``tree_value_by_expansion``, and ``normal_s_word_by_expansion`` through
 ``expand_with``, the substituted expansion of a special bracketing,
 folded over its recorded siblings).
+
+The expression tokenizer is checked against a reading of its input one
+character at a time (``tokenize_by_characters``).
 """
 
 import itertools
 import math
+import string
 from fractions import Fraction
 
 from pclie import (
@@ -45,6 +49,7 @@ from pclie import (
     Ambiguity,
     LieTree,
     Occurrence,
+    ParseError,
     Rule,
     Word,
     bracket,
@@ -502,3 +507,29 @@ def multidegree_series_dims(graph, max_deg):
         if d:
             dims[b] = int(d)
     return dims
+
+
+def tokenize_by_characters(text):
+    """The tokens of the expression grammar read one character at a time:
+    (kind, text, position) for each integer, symbol and operator, the
+    operator being its own kind, then ("end", "", len(text)); whitespace
+    separates, and any other character is an error at its position."""
+    digits, start_letters = string.digits, string.ascii_letters + "_"
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch, start = text[i], i
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in digits or ch in start_letters:
+            chars = digits if ch in digits else start_letters + digits
+            while i < n and text[i] in chars:
+                i += 1
+            tokens.append(("int" if ch in digits else "sym", text[start:i], start))
+        elif ch in "()+-*/":
+            tokens.append((ch, ch, start))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", start)
+    tokens.append(("end", "", n))
+    return tokens

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclie import (
     Alphabet,
@@ -11,6 +12,9 @@ from pclie import (
     enumerate_alsw,
     parse_expr,
 )
+from pclie.expr import _tokenize
+
+from oracles import tokenize_by_characters
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
@@ -86,3 +90,19 @@ def test_render_parse_round_trip():
                 terms[w] = c
         p = LiePoly(A3, terms)
         assert parse_expr(p.to_expr_text(), A3).to_lie_poly() == p
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from("xyz_Q09()+-*/ ?.\t\n\x0b\x1c\xa0\u0663\xe9"), max_size=24))
+def test_tokens_match_a_character_by_character_reading(text):
+    # one regular-expression pass gives the tokens, or the error and its
+    # position, of a reading one character at a time (the Arabic-Indic
+    # digit and the accented letter are neither digits nor letters here)
+    try:
+        expected = tokenize_by_characters(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as e:
+            _tokenize(text)
+        assert (str(e.value), e.value.position) == (str(exc), exc.position)
+    else:
+        assert _tokenize(text) == expected

@@ -371,11 +371,31 @@ def test_lie_poly_refuses_outside_input():
                 LiePoly(A3, terms)
     with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
         LiePoly.basis(A3.word("xyx"))
-    # a tree's leaves are its input: a leaf word must be a basis word
-    leaf = LieTree(A3.word("yx"), None, None)
-    with pytest.raises(ValueError, match="not a Lyndon-Shirshov word"):
-        tree_value(LieTree.pair(LieTree.leaf(A3, "z"), leaf))
-    assert tree_value(LieTree(xy, None, None)) == LiePoly.basis(xy)
+    # a tree's leaves are its input: a leaf is one letter, so a longer
+    # leaf word is refused, a basis word too
+    for w in (A3.word("yx"), xy, A3.empty_word()):
+        with pytest.raises(ValueError, match="a leaf is one letter"):
+            LieTree(w, None, None)
+
+
+def test_trees_with_one_word_and_one_text_cannot_be_told_apart():
+    # with longer leaf words, s = (x [xyxyy]) and t = ([xxy] [xyy]) on
+    # x > y would both print (x x), compare equal and share expand's
+    # cache, while tree_value read a leaf as a basis element and expand
+    # as a monomial; those leaves are refused, and the trees s and t stand
+    # for keep their own texts, values and expansions
+    for w in ("xyxyy", "xxy", "xyy"):
+        with pytest.raises(ValueError, match="a leaf is one letter"):
+            LieTree(A2.word(w), None, None)
+    s = LieTree.pair(LieTree.leaf(A2, "x"), bracket(A2.word("xyxyy")))
+    t = LieTree.pair(bracket(A2.word("xxy")), bracket(A2.word("xyy")))
+    assert s.word == t.word
+    assert str(s) != str(t) and s != t
+    clear_caches()
+    assert expand(s) is not expand(t)
+    for tree in (s, t):
+        assert expand(tree) == tree_value(tree).to_assoc()
+    assert tree_value(s) != tree_value(t)
 
 
 def test_a_bool_coefficient_is_refused():

@@ -19,6 +19,7 @@ from pclie import (
     nlsw_decompose,
 )
 from pclie.gsb import ReductionStep, ReductionTrace, _rewrite, reduce
+from pclie.lie import _Poly
 from pclie.quotient import (
     CommGraph,
     _least_pattern,
@@ -81,6 +82,22 @@ def test_graph_construction_and_parsing():
         CommGraph.parse("x > y\nx y z\n")
     with pytest.raises(ValueError):
         CommGraph.parse("   \n# nothing\n")
+
+
+def test_a_graph_file_builds_one_graph(monkeypatch):
+    # each edge line is checked on its own, so that an error names its
+    # line, and the graph is built once, from the whole file
+    built = []
+    init = CommGraph.__init__
+    monkeypatch.setattr(CommGraph, "__init__", lambda self, *args: built.append(init(self, *args)))
+    g = CommGraph.parse("x > y > z > w\nx y\nz x\ny z\nz w\n")
+    assert len(built) == 1 and g.edges == {(2, 3), (1, 3), (1, 2), (0, 1)}
+    for text, message in (
+        ("x > y\nx x\n", r"line 2: .* irreflexive: \(x,x\)"),
+        ("x > y\n\nx q\n", "line 3: unknown letter 'q'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CommGraph.parse(text)
 
 
 def test_rhd_examples():
@@ -362,6 +379,34 @@ def test_pc_normal_form_is_reduce_modulo_the_relations():
             cases += 1
             steps += len(tr.steps)
     assert cases >= 350 and steps >= 800
+
+
+def test_relations_and_normal_forms_check_no_word_again(monkeypatch):
+    # the rules [x u y] and the rewrite sites of the normal form are built
+    # from rank tuples that the graph and the input polynomial checked
+    # when they entered: no word is checked again, and no polynomial goes
+    # through the constructor for outside input; the results are those of
+    # the checked path
+    graph = CommGraph(A4, [("x", "y"), ("x", "z"), ("y", "z"), ("z", "w")])
+    rng = random.Random(7)
+    p = LiePoly(A4, {w: rng.randint(-3, 3) for w in enumerate_alsw(A4, 6) if len(w) >= 5})
+
+    def run():
+        clear_caches()
+        return generate_relations(graph, 6), pc_normal_form(p, graph)
+
+    rules, normal_form = expected = run()
+    assert [r.body for r in rules] == [LiePoly.basis(r.leading) for r in rules]
+    trace = reduce(p, rules)
+    assert len(rules) == 16 and len(trace.steps) > 100
+    assert normal_form == trace.remainder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was checked again")
+
+    monkeypatch.setattr(LiePoly, "_check_word", refuse)
+    monkeypatch.setattr(_Poly, "__init__", refuse)
+    assert run() == expected
 
 
 def test_equal_elements_share_a_normal_form():
