@@ -135,21 +135,20 @@ def composition(amb):
     return result
 
 
-def _rewrite(h, find, bound=None):
+def _rewrite(h, find):
     """The rewrite loop behind every reduction.
 
     Always rewrites the deg-lex greatest word of the work polynomial that
     ``find`` reports reducible: ``find(ranks)`` returns ``(rule_index,
     rule, position)`` of the occurrence to rewrite in the word with that
     rank tuple, or None when the word stays.  Each step subtracts
-    coefficient times a normal s-word and strictly decreases the word
-    being rewritten, so the trace is finite.  With a bound given, a step
-    at or above it is an error.  Returns the steps, each (rule index, rule,
-    rank tuple, position, coefficient numerator, coefficient denominator),
-    and the remainder.
+    coefficient times a normal s-word, which leads with the word being
+    rewritten, coefficient 1, so that word cancels and every later step
+    is strictly below it: the trace is finite and its first step the
+    greatest.  Returns the steps, each (rule index, rule, rank tuple,
+    position, coefficient numerator, coefficient denominator), and the
+    remainder.
     """
-    alphabet = h.alphabet
-    key = None if bound is None else (len(bound.ranks), bound.ranks)
     # h is work + done over den, and done holds the words that stay
     work, done, den = dict(h._num), {}, h._den
     steps = []
@@ -161,9 +160,6 @@ def _rewrite(h, find, bound=None):
             continue
         ri, r, pos = hit
         c0 = work[r0]
-        if key is not None and (len(r0), r0) >= key:
-            w0 = Word(alphabet, r0)
-            raise ValueError(f"reduction step at {w0} is not below the bound {bound}")
         steps.append((ri, r, r0, pos, c0, den))
         nsw = _normal_s_word(r0, r, pos)
         d = nsw._den
@@ -181,7 +177,7 @@ def _rewrite(h, find, bound=None):
             work = {k: v // g for k, v in work.items()}
             done = {k: v // g for k, v in done.items()}
             den //= g
-    return steps, h._make(alphabet, done, den)
+    return steps, h._make(h.alphabet, done, den)
 
 
 def _first_site(rules):
@@ -203,11 +199,14 @@ def _first_site(rules):
 def reduce(h, rules, bound=None):
     """Rewrite h modulo the rules until no word of the remainder contains a
     rule's leading word; the lowest-index matching rule of the greatest
-    reducible word wins, then the leftmost occurrence (see ``_rewrite``)."""
+    reducible word wins, then the leftmost occurrence (see ``_rewrite``).
+    With a bound, the first step, which is the greatest, must be below it."""
     for w in [r.leading for r in rules] + ([] if bound is None else [bound]):
         _check_same_alphabet(h, w)
-    raw, remainder = _rewrite(h, _first_site(rules), bound)
+    raw, remainder = _rewrite(h, _first_site(rules))
     steps = [ReductionStep(i, r, Word(h.alphabet, w), p, _exact(n, d)) for i, r, w, p, n, d in raw]
+    if bound is not None and steps and deglex_key(steps[0].word) >= deglex_key(bound):
+        raise ValueError(f"reduction step at {steps[0].word} is not below the bound {bound}")
     return ReductionTrace(input=h, steps=steps, remainder=remainder)
 
 
@@ -231,7 +230,7 @@ def is_gsb(rules, max_deg):
     ambs = find_ambiguities(rules, max_deg)
     find = _first_site(rules)
     for amb in ambs:
-        _, rem = _rewrite(composition(amb), find, amb.w)
+        _, rem = _rewrite(composition(amb), find)
         if not rem.is_zero():
             failures.append((amb, rem))
     return GsbReport(
@@ -275,7 +274,7 @@ def complete(rules, max_deg):
     find = _first_site(current)
     while queue:
         _, amb = queue.pop(0)
-        _, rem = _rewrite(composition(amb), find, amb.w)
+        _, rem = _rewrite(composition(amb), find)
         if rem.is_zero():
             continue
         ni, new = len(current), Rule.monic(rem)

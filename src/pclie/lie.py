@@ -72,11 +72,19 @@ class LieTree:
     __slots__ = ("word", "left", "right", "_text")
 
     def __init__(self, word, left, right):
+        if left is None and len(word) != 1:
+            raise ValueError(f"a leaf is one letter, not {word!r}")
+        if left is not None and not (
+            word.ranks == left.word.ranks + right.word.ranks
+            and word.alphabet == left.word.alphabet == right.word.alphabet
+        ):
+            raise ValueError(f"a pair's word is its children's words joined, not {word!r}")
+        self._fill(word, left, right)
+
+    def _fill(self, word, left, right):
         self.word = word
         self.left = left
         self.right = right
-        if left is None and len(word) != 1:
-            raise ValueError(f"a leaf is one letter, not {word!r}")
         # children exist before their parent, so each node is rendered once
         self._text = word[0] if left is None else f"({left._text} {right._text})"
 
@@ -86,7 +94,9 @@ class LieTree:
 
     @classmethod
     def pair(cls, left, right):
-        return cls(left.word + right.word, left, right)
+        t = cls.__new__(cls)  # the word is joined here, so it is not checked
+        t._fill(left.word + right.word, left, right)
+        return t
 
     @property
     def letter(self):

@@ -201,10 +201,10 @@ class GradedBasis(namedtuple("GradedBasis", "graph max_degree by_degree")):
 
 def _fold_basis(graph, max_deg, leaf, pair):
     """Fold the canonical brackets of the pattern-free words: the value
-    of a word u is ``leaf(u)`` for a letter and ``pair(u, left, right)``
-    for a longer word, with the values of the two halves of its standard
-    split, u a rank tuple.  Returns the values per degree, deg-lex
-    ascending in each.
+    of a letter u, a rank tuple, is ``leaf(u)``, and that of a longer word
+    is ``pair(left, right)`` of the values of the two halves of its
+    standard split.  Returns the values per degree, deg-lex ascending in
+    each.
 
     The values are kept by rank tuple in a table that lives for this call
     only.  The levels of ``_irr_ranks`` are folded in order, the letters
@@ -221,19 +221,15 @@ def _fold_basis(graph, max_deg, leaf, pair):
             cut = 1
             while r[cut:] not in values:
                 cut += 1
-            values[r] = pair(r, values[r[:cut]], values[r[cut:]])
+            values[r] = pair(values[r[:cut]], values[r[cut:]])
     return [[values[r] for r in level] for level in levels]
 
 
 def irr_basis(graph, max_deg):
     """The graded basis: canonical brackets of the pattern-free words,
     each tree built from two trees built before it (``_fold_basis``)."""
-    alphabet = graph.alphabet
     levels = _fold_basis(
-        graph,
-        max_deg,
-        lambda r: LieTree(Word(alphabet, r), None, None),
-        lambda r, left, right: LieTree(Word(alphabet, r), left, right),
+        graph, max_deg, lambda r: LieTree(Word(graph.alphabet, r), None, None), LieTree.pair
     )
     return GradedBasis(graph, max_deg, tuple(tuple(l) for l in levels))
 
@@ -247,7 +243,7 @@ def basis_texts(graph, max_deg):
         graph,
         max_deg,
         lambda r: letters[r[0]],
-        lambda r, left, right: f"({left} {right})",
+        lambda left, right: f"({left} {right})",
     )
 
 
@@ -266,8 +262,9 @@ def _pattern_rule(alphabet, ranks):
 def _least_pattern(graph, ranks):
     """The rewrite site for ``gsb._rewrite`` of the word with rank tuple
     ranks: the deg-lex smallest pattern factor, then its leftmost
-    occurrence, or None when the word is pattern-free.  In the deg-lex order of ``generate_relations`` this is
-    the lowest-index rule at its leftmost occurrence, as in ``gsb.reduce``."""
+    occurrence, or None when the word is pattern-free.  In the deg-lex
+    order of ``generate_relations`` this is the lowest-index rule at its
+    leftmost occurrence, as in ``gsb.reduce``."""
     span = min(
         _pattern_spans(graph, ranks),
         key=lambda ij: (ij[1] - ij[0], ranks[ij[0] : ij[1]], ij[0]),

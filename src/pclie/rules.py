@@ -12,8 +12,8 @@ the host's rank tuple; its tree and the normal s-word are folds over it.
 The substitution runs in the Lyndon-Shirshov basis on the integer
 numerators of ``lie._Poly``: the body is bracketed with each sibling in
 turn, deepest first, one basis element each; no tree or word is built.
-The engine's normal s-words, ``_normal_s_word``, are keyed by rank tuple
-and trust their site; the public ``normal_s_word`` checks it first.
+The one normal s-word kernel, ``_normal_s_word``, is keyed by rank tuple
+and trusts its site; the public ``normal_s_word`` checks it first.
 """
 
 from __future__ import annotations
@@ -169,33 +169,26 @@ def special_bracket(occ):
     return SpecialBracketing([(step, Word(u.alphabet, sib)) for step, sib in sides], occ)
 
 
-def _substitute(body, sides, ranks):
-    """The rule body in the slot of the special bracketing with these sides
-    (siblings as rank tuples, one basis element each) of the host ranks;
-    checked to lead with the host, coefficient 1."""
-    num = _fold([(step, {sib: 1}) for step, sib in sides], body._num, _bracket_terms)
-    result = body._make(body.alphabet, num, body._den)
-    num, den = result._num, result._den
-    lead = _deglex_max(num) if num else None
-    if lead != ranks or num[lead] != den:
-        w = Word(body.alphabet, ranks)
-        raise InvariantError(f"normal s-word {w} lead check failed: {result}")
-    return result
-
-
 @lru_cache(maxsize=None)
 def _normal_s_word(ranks, s, position):
-    """``normal_s_word`` keyed by rank tuple, at a site the engine found by
-    matching the slice: no site check."""
+    """``normal_s_word`` keyed by rank tuple, with no site check: the rule
+    body in the slot of the special bracketing, each sibling one basis
+    element; checked to lead with the host, coefficient 1."""
     sides = _slot_path(ranks, position, position + len(s.leading.ranks))
-    return _substitute(s.body, sides, ranks)
+    num = _fold([(step, {sib: 1}) for step, sib in sides], s.body._num, _bracket_terms)
+    result = s.body._make(s.body.alphabet, num, s.body._den)
+    num = result._num
+    if not num or _deglex_max(num) != ranks or num[ranks] != result._den:
+        w = Word(s.body.alphabet, ranks)
+        raise InvariantError(f"normal s-word {w} lead check failed: {result}")
+    return result
 
 
 @lru_cache(maxsize=None)
 def normal_s_word(w, s, position):
     """The normal s-word (a s b) with host w = a.leading(s).b, len(a) =
     position: substitute the rule body into the special bracketing of w
-    at that occurrence.  w must be a Lyndon-Shirshov word.  The result
-    leads with w, coefficient 1."""
-    sb = special_bracket(Occurrence(w, s.leading, position))  # validates the site
-    return _substitute(s.body, [(step, sib.ranks) for step, sib in sb.sides], w.ranks)
+    at that occurrence.  w must be a Lyndon-Shirshov word.  The result,
+    the kernel's, leads with w, coefficient 1."""
+    special_bracket(Occurrence(w, s.leading, position))  # checks the site; perfbench counts it
+    return _normal_s_word(w.ranks, s, position)

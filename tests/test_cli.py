@@ -345,7 +345,8 @@ def test_basis_builds_no_tree_or_word(capsys, theta, monkeypatch):
     def refuse(*args):
         raise AssertionError("basis built a tree or a word")
 
-    monkeypatch.setattr(LieTree, "__init__", refuse)
+    # every tree node, leaf or pair, is filled by LieTree._fill
+    monkeypatch.setattr(LieTree, "_fill", refuse)
     monkeypatch.setattr(Word, "__init__", refuse)
     assert [run(capsys, *argv) for argv in calls] == outputs
 

@@ -274,8 +274,28 @@ def test_reduce_traces_are_sound_and_decreasing():
 
 
 def test_reduce_bound_violation_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reduction step at xyy is not below the bound xy"):
         reduce(LiePoly.basis(A2.word("xyy")), [single(A2, "xy")], bound=A2.word("xy"))
+
+
+def test_reduce_holds_its_steps_below_the_bound():
+    # the first step is the greatest, so a bound equal to its word is
+    # refused and the deg-lex next word up lets the whole trace through;
+    # only steps are bounded, so an irreducible word at or above the bound
+    # is accepted
+    rules = [Rule.monic(LiePoly(A3, {A3.word("xy"): 2, A3.word("xz"): 3})), single(A3, "yz")]
+    h = LiePoly.basis(A3.word("xyzyz"))
+    trace = reduce(h, rules)
+    assert [str(st.word) for st in trace.steps] == ["xyzyz", "xzyyz", "xzyzy", "xzzyz"]
+    with pytest.raises(ValueError, match="reduction step at xyzyz is not below the bound xyzyz"):
+        reduce(h, rules, bound=A3.word("xyzyz"))
+    assert reduce(h, rules, bound=A3.word("xyzyy")) == trace
+    # xxzzz holds neither xy nor yz, and it is greater than every step
+    g = h + LiePoly.basis(A3.word("xxzzz"))
+    unbounded = reduce(g, rules)
+    assert unbounded.steps == trace.steps
+    for bound in ("xxzzz", "xyzyy"):
+        assert reduce(g, rules, bound=A3.word(bound)) == unbounded
 
 
 def test_is_gsb_examples():
@@ -427,10 +447,11 @@ def test_complete_matches_restart_oracle():
     assert added >= 200
 
 
-def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
-    # every normal s-word the engine builds in the closure sweep and in the
-    # completions, against the substituted associative expansion; the
-    # engine's kernel is keyed by rank tuple, its host word is rebuilt here
+def engine_normal_s_words(monkeypatch):
+    """Every normal s-word the engine builds in the closure sweep and in
+    the completions, by site (host word, rule, position), with the number
+    from the closure sweep and from rational rule sets; the engine's
+    kernel is keyed by rank tuple, its host word is rebuilt here."""
     import pclie.gsb as gsb
 
     calls = {}
@@ -455,10 +476,28 @@ def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
         complete(rules, d)
         if any(isinstance(c, Fraction) for r in rules for c in r.body.terms.values()):
             rational += len(calls) - before
+    monkeypatch.undo()
+    return calls, closure_calls, rational
+
+
+def test_normal_s_word_matches_the_expansion_oracle(monkeypatch):
+    # against the substituted associative expansion
+    calls, closure_calls, rational = engine_normal_s_words(monkeypatch)
     for (w, s, position), result in calls.items():
         assert result == normal_s_word_by_expansion(w, s, position), (w, s, position)
     assert closure_calls >= 700
     assert len(calls) - closure_calls >= 120 and rational >= 100
+
+
+def test_the_public_normal_s_word_is_the_kernels(monkeypatch):
+    # one function computes every normal s-word: once the site is checked,
+    # the public normal_s_word returns the engine's cached object
+    import pclie.rules as rules
+
+    sites = list(engine_normal_s_words(monkeypatch)[0])
+    clear_caches()
+    for w, s, position in sites:
+        assert normal_s_word(w, s, position) is rules._normal_s_word(w.ranks, s, position)
 
 
 def is_exact(c):

@@ -398,6 +398,21 @@ def test_trees_with_one_word_and_one_text_cannot_be_told_apart():
     assert tree_value(s) != tree_value(t)
 
 
+def test_a_pair_is_its_childrens_words_joined():
+    # a pair built with another word printed (z y) while its word and
+    # degree said xy and tree_value gave -[yz]; it is refused, as is the
+    # joined word over another alphabet, and the joined word itself
+    # builds the tree that LieTree.pair builds
+    z, y = LieTree.leaf(A3, "z"), LieTree.leaf(A3, "y")
+    abc = Alphabet.from_decl("a > b > c")
+    for w in (A3.word("xy"), A3.word("yz"), A3.word("zyz"), abc.word("cb"), A4.word("zy")):
+        with pytest.raises(ValueError, match="a pair's word is its children's words joined"):
+            LieTree(w, z, y)
+    t = LieTree(A3.word("zy"), z, y)
+    assert t == LieTree.pair(z, y) and str(t) == "(z y)"
+    assert tree_value(t) == -LiePoly.basis(A3.word("yz"))
+
+
 def test_a_bool_coefficient_is_refused():
     # bool is a subclass of int, but True is no coefficient: it would be
     # stored and printed as True

@@ -172,7 +172,8 @@ def test_normal_s_word_builds_no_tree(monkeypatch):
     def no_tree(*args):
         raise AssertionError("normal_s_word built a tree")
 
-    monkeypatch.setattr(LieTree, "__init__", no_tree)
+    # every node, leaf or pair, is filled by LieTree._fill
+    monkeypatch.setattr(LieTree, "_fill", no_tree)
     for w, s, position, expected in cases:
         assert normal_s_word.__wrapped__(w, s, position) == expected
 
