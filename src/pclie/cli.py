@@ -24,7 +24,7 @@ import sys
 
 from .expr import parse_expr
 from .gsb import complete, is_gsb
-from .lie import bracket, coeff_str
+from .lie import bracket
 from .quotient import (
     CommGraph,
     assoc_hilbert_series,
@@ -42,7 +42,7 @@ from .words import Alphabet, _read_decl_file, enumerate_alsw, is_alsw, lyndon_fa
 
 
 def _poly_json(p):
-    return [{"word": str(w), "coeff": coeff_str(c)} for w, c in p.items_deglex()]
+    return [{"word": str(w), "coeff": str(c)} for w, c in p.items_deglex()]
 
 
 def _load_graph(path):

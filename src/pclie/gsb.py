@@ -121,7 +121,9 @@ def composition(amb):
     """The composition polynomial of an ambiguity; zero or strictly below
     the witness: the difference of the normal s-words of f and g at their
     two occurrences in it.  For an inclusion the first is f.body."""
-    # the one check of a site that the engine did not find itself
+    # every ambiguity is checked here, hand-made or found for is_gsb and
+    # complete, so an intersection witness of _pair_ambiguities is
+    # checked once
     w, p, fr, gr = amb.w.ranks, amb.position, amb.f.leading.ranks, amb.g.leading.ranks
     _check_same_alphabet(amb.w, amb.f.leading)
     _check_same_alphabet(amb.w, amb.g.leading)

@@ -60,52 +60,33 @@ def _exact(n, d):
     return Fraction(n, d) if r else q
 
 
-def coeff_str(c):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 class LieTree:
-    """A fully bracketed word: a one-letter leaf or an ordered pair of trees."""
+    """A fully bracketed word: a one-letter leaf, built by ``LieTree(word)``
+    (or ``LieTree.leaf`` from a symbol), or an ordered pair of trees, built
+    by ``LieTree.pair``, whose word is its children's words joined."""
 
     __slots__ = ("word", "left", "right", "_text")
 
-    def __init__(self, word, left, right):
-        if left is None and len(word) != 1:
+    def __init__(self, word):
+        if len(word) != 1:
             raise ValueError(f"a leaf is one letter, not {word!r}")
-        if left is not None and not (
-            word.ranks == left.word.ranks + right.word.ranks
-            and word.alphabet == left.word.alphabet == right.word.alphabet
-        ):
-            raise ValueError(f"a pair's word is its children's words joined, not {word!r}")
-        self._fill(word, left, right)
-
-    def _fill(self, word, left, right):
         self.word = word
-        self.left = left
-        self.right = right
-        # children exist before their parent, so each node is rendered once
-        self._text = word[0] if left is None else f"({left._text} {right._text})"
+        self.left = self.right = None
+        self._text = word[0]
 
     @classmethod
     def leaf(cls, alphabet, symbol):
-        return cls(alphabet.word_of([symbol]), None, None)
+        return cls(alphabet.word_of([symbol]))
 
     @classmethod
     def pair(cls, left, right):
-        t = cls.__new__(cls)  # the word is joined here, so it is not checked
-        t._fill(left.word + right.word, left, right)
+        t = cls.__new__(cls)
+        t.word = left.word + right.word
+        t.left = left
+        t.right = right
+        # children exist before their parent, so each node is rendered once
+        t._text = f"({left._text} {right._text})"
         return t
-
-    @property
-    def letter(self):
-        if self.left is not None:
-            raise ValueError("not a leaf")
-        return self.word[0]
-
-    def degree(self):
-        return len(self.word)
 
     def __eq__(self, other):
         # the text spells out the bracketing; equal words share an alphabet
@@ -136,7 +117,7 @@ def bracket(u):
     when one tree is left."""
     stack = []
     for i in range(len(u) - 1, -1, -1):
-        t = LieTree(u[i : i + 1], None, None)
+        t = LieTree(u[i : i + 1])
         while stack and _compare_ranks(t.word.ranks, stack[-1].word.ranks) == GREATER:
             t = LieTree.pair(t, stack.pop())
         stack.append(t)
@@ -303,7 +284,7 @@ class _Poly:
         for w, c in self.items_deglex():
             mag = abs(c)
             term = self._term.format(w)
-            body = term if mag == 1 else f"{coeff_str(mag)} {term}"
+            body = term if mag == 1 else f"{mag} {term}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -410,7 +391,7 @@ class LiePoly(_Poly):
         for w, c in self.items_deglex():
             tree = str(bracket(w))
             mag = abs(c)
-            body = tree if mag == 1 else f"{coeff_str(mag)}*{tree}"
+            body = tree if mag == 1 else f"{mag}*{tree}"
             if not parts:
                 parts.append(body if c > 0 else f"-1*{tree}" if mag == 1 else f"-{body}")
             else:
@@ -529,7 +510,7 @@ def left_pair_expansion(x, u):
         raise ValueError(f"{x!r} must dominate every letter of {u!r}")
     if len(u) == 1:
         leaf_x = LieTree.leaf(alphabet, x)
-        return [(1, LieTree.pair(leaf_x, LieTree(u, None, None)))]
+        return [(1, LieTree.pair(leaf_x, LieTree(u)))]
     v, w = standard_split(u)  # raises for a word that is not Lyndon-Shirshov
     left = left_pair_expansion(x, v)
     right = left_pair_expansion(x, w)

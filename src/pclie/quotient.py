@@ -229,7 +229,7 @@ def irr_basis(graph, max_deg):
     """The graded basis: canonical brackets of the pattern-free words,
     each tree built from two trees built before it (``_fold_basis``)."""
     levels = _fold_basis(
-        graph, max_deg, lambda r: LieTree(Word(graph.alphabet, r), None, None), LieTree.pair
+        graph, max_deg, lambda r: LieTree(Word(graph.alphabet, r)), LieTree.pair
     )
     return GradedBasis(graph, max_deg, tuple(tuple(l) for l in levels))
 

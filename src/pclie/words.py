@@ -154,8 +154,7 @@ class Word:
         return iter(self.letters)
 
     def __add__(self, other):
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
+        _check_same_alphabet(self, other)
         return Word(self.alphabet, self.ranks + other.ranks)
 
     def supp(self):

@@ -97,7 +97,7 @@ def bracket_by_standard_splits(u):
     """The canonical bracketing by recursion on the standard split, the
     longest proper suffix that passes ``is_alsw_by_rotations``."""
     if len(u) == 1:
-        return LieTree(u, None, None)
+        return LieTree(u)
     cut = next(i for i in range(1, len(u)) if is_alsw_by_rotations(u[i:]))
     return LieTree.pair(bracket_by_standard_splits(u[:cut]), bracket_by_standard_splits(u[cut:]))
 

@@ -345,8 +345,9 @@ def test_basis_builds_no_tree_or_word(capsys, theta, monkeypatch):
     def refuse(*args):
         raise AssertionError("basis built a tree or a word")
 
-    # every tree node, leaf or pair, is filled by LieTree._fill
-    monkeypatch.setattr(LieTree, "_fill", refuse)
+    # every tree node is built by LieTree(word), a leaf, or LieTree.pair
+    monkeypatch.setattr(LieTree, "__init__", refuse)
+    monkeypatch.setattr(LieTree, "pair", refuse)
     monkeypatch.setattr(Word, "__init__", refuse)
     assert [run(capsys, *argv) for argv in calls] == outputs
 

@@ -243,7 +243,7 @@ def test_alphabets_of_one_size_keep_their_own_words():
 
     def tree(al, s):
         if isinstance(s, int):
-            return LieTree(Word(al, (s,)), None, None)
+            return LieTree(Word(al, (s,)))
         return LieTree.pair(tree(al, s[0]), tree(al, s[1]))
 
     def rule(al, body):
@@ -375,7 +375,7 @@ def test_lie_poly_refuses_outside_input():
     # leaf word is refused, a basis word too
     for w in (A3.word("yx"), xy, A3.empty_word()):
         with pytest.raises(ValueError, match="a leaf is one letter"):
-            LieTree(w, None, None)
+            LieTree(w)
 
 
 def test_trees_with_one_word_and_one_text_cannot_be_told_apart():
@@ -386,7 +386,7 @@ def test_trees_with_one_word_and_one_text_cannot_be_told_apart():
     # for keep their own texts, values and expansions
     for w in ("xyxyy", "xxy", "xyy"):
         with pytest.raises(ValueError, match="a leaf is one letter"):
-            LieTree(A2.word(w), None, None)
+            LieTree(A2.word(w))
     s = LieTree.pair(LieTree.leaf(A2, "x"), bracket(A2.word("xyxyy")))
     t = LieTree.pair(bracket(A2.word("xxy")), bracket(A2.word("xyy")))
     assert s.word == t.word
@@ -398,19 +398,20 @@ def test_trees_with_one_word_and_one_text_cannot_be_told_apart():
     assert tree_value(s) != tree_value(t)
 
 
-def test_a_pair_is_its_childrens_words_joined():
-    # a pair built with another word printed (z y) while its word and
-    # degree said xy and tree_value gave -[yz]; it is refused, as is the
-    # joined word over another alphabet, and the joined word itself
-    # builds the tree that LieTree.pair builds
+def test_a_pair_is_built_only_from_its_children():
+    # a pair's word cannot be stated on its own: a stated word xy once
+    # printed (z y) while tree_value gave -[yz]; LieTree.pair joins the
+    # children's words, and refuses children of two alphabets
     z, y = LieTree.leaf(A3, "z"), LieTree.leaf(A3, "y")
-    abc = Alphabet.from_decl("a > b > c")
-    for w in (A3.word("xy"), A3.word("yz"), A3.word("zyz"), abc.word("cb"), A4.word("zy")):
-        with pytest.raises(ValueError, match="a pair's word is its children's words joined"):
-            LieTree(w, z, y)
-    t = LieTree(A3.word("zy"), z, y)
-    assert t == LieTree.pair(z, y) and str(t) == "(z y)"
+    with pytest.raises(TypeError):
+        LieTree(A3.word("zy"), z, y)
+    t = LieTree.pair(z, y)
+    assert t.word == A3.word("zy") and str(t) == "(z y)"
     assert tree_value(t) == -LiePoly.basis(A3.word("yz"))
+    c = LieTree.leaf(Alphabet.from_decl("a > b > c"), "c")
+    for left, right in ((z, c), (c, z)):
+        with pytest.raises(ValueError, match="different alphabets"):
+            LieTree.pair(left, right)
 
 
 def test_a_bool_coefficient_is_refused():

@@ -172,8 +172,9 @@ def test_normal_s_word_builds_no_tree(monkeypatch):
     def no_tree(*args):
         raise AssertionError("normal_s_word built a tree")
 
-    # every node, leaf or pair, is filled by LieTree._fill
-    monkeypatch.setattr(LieTree, "_fill", no_tree)
+    # every node is built by LieTree(word), a leaf, or LieTree.pair
+    monkeypatch.setattr(LieTree, "__init__", no_tree)
+    monkeypatch.setattr(LieTree, "pair", no_tree)
     for w, s, position, expected in cases:
         assert normal_s_word.__wrapped__(w, s, position) == expected
 
