@@ -6,10 +6,10 @@ strictly below the witness, and a rule set passes when every composition
 reduces to zero.  Completion adds monic irreducible remainders until the
 bounded check closes.
 
-Ambiguities are enumerated one ordered rule pair at a time and ordered by
-a single key, so the full enumeration, the closure check and completion
-share one code path.  Completion keeps a queue of the ambiguities still to
-check instead of starting over after each new rule: a reduction to zero
+Ambiguities are enumerated one rule at a time and ordered by a single
+key, so the full enumeration, the closure check and completion share one
+code path.  Completion keeps a queue of the ambiguities still to check
+instead of starting over after each new rule: a reduction to zero
 rewrites only with rules that stay at the same index when rules are
 appended, so it stays zero and is never repeated.
 
@@ -17,9 +17,10 @@ Every rewrite site is named as ``rules.Occurrence`` names it: host word,
 rule and position.  A reduction step records the word it rewrote and where
 the rule occurs in it, and an ambiguity records its witness and where g
 occurs in it (f always starts it), so a composition is the difference of
-two normal s-words on one host.  A rule pair's ambiguities come from one
-scan over the start positions of g.leading in f.leading, the kind decided
-by where g ends.
+two normal s-words on one host.  Each call indexes its rules by the ranks
+of their leading words (``_RuleIndex``), so a pair or a rewrite site is
+tried only where the first rank of a leading word occurs; where g ends
+decides the kind.
 
 The rewrite loop works on rank tuples, integer numerators over one
 denominator D, and finds each site by matching a slice, so its normal
@@ -76,24 +77,77 @@ class ReductionTrace(namedtuple("ReductionTrace", "input steps remainder")):
         return acc == self.remainder
 
 
-def _pair_ambiguities(fi, f, gi, g, max_deg):
-    """The ambiguities of the ordered rule pair (f, g) with witness length
-    at most max_deg, unsorted; g.leading starts at i in f.leading."""
-    ambs = []
+def _site(fi, f, i, gi, g, max_deg):
+    """The ambiguity of the rule pair (f, g) with g.leading at i in
+    f.leading, witness length at most max_deg, or None."""
     fr, gr = f.leading.ranks, g.leading.ranks
     n, k = len(fr), len(gr)
-    for i in range(n):
-        if i + k <= n:
-            # inclusion, but not a rule inside itself at the same spot
-            if n <= max_deg and fr[i : i + k] == gr and (i or fi != gi):
-                ambs.append(Ambiguity("inclusion", fi, gi, f, g, f.leading, i))
-        elif i and i + k <= max_deg and fr[i:] == gr[: n - i]:
-            # intersection: two Lyndon-Shirshov words glued along a proper,
-            # non-empty overlap give a Lyndon-Shirshov word, so the witness
-            # needs no test here (composition checks it once)
-            w = Word(f.leading.alphabet, fr + gr[n - i :])
-            ambs.append(Ambiguity("intersection", fi, gi, f, g, w, i))
-    return ambs
+    if i + k <= n:
+        # inclusion, but not a rule inside itself at the same spot
+        if n <= max_deg and fr[i : i + k] == gr and (i or fi != gi):
+            return Ambiguity("inclusion", fi, gi, f, g, f.leading, i)
+    elif i and i + k <= max_deg and fr[i:] == gr[: n - i]:
+        # intersection: two Lyndon-Shirshov words glued along a proper,
+        # non-empty overlap give a Lyndon-Shirshov word, so the witness
+        # needs no test here (composition checks it once)
+        w = Word(f.leading.alphabet, fr + gr[n - i :])
+        return Ambiguity("intersection", fi, gi, f, g, w, i)
+    return None
+
+
+class _RuleIndex:
+    """A rule list by leading-word ranks: ``starts[a]`` lists (index,
+    rule) of the rules whose leading word begins with rank a, and
+    ``occurs[a]`` (index, position) of each rank a in a leading word, in
+    index order."""
+
+    __slots__ = ("rules", "starts", "occurs")
+
+    def __init__(self, rules):
+        self.rules, self.starts, self.occurs = [], {}, {}
+        for r in rules:
+            self.add(r)
+
+    def add(self, r):
+        ri, lr = len(self.rules), r.leading.ranks
+        self.rules.append(r)
+        self.starts.setdefault(lr[0], []).append((ri, r))
+        for p, a in enumerate(lr):
+            self.occurs.setdefault(a, []).append((ri, p))
+
+    def as_first(self, fi, max_deg):
+        """The ambiguities (f, g) of f, the rule at fi, with every g."""
+        f, starts = self.rules[fi], self.starts
+        return [
+            m
+            for i, a in enumerate(f.leading.ranks)
+            for gi, g in starts.get(a, ())
+            if (m := _site(fi, f, i, gi, g, max_deg))
+        ]
+
+    def as_second(self, g, max_deg):
+        """The ambiguities (h, g) of every h with g, the next rule."""
+        gi, rules = len(self.rules), self.rules
+        return [
+            m
+            for hi, i in self.occurs.get(g.leading.ranks[0], ())
+            if (m := _site(hi, rules[hi], i, gi, g, max_deg))
+        ]
+
+    def find(self, wr):
+        """``_rewrite``'s find: the lowest-index rule in the word, then its
+        leftmost occurrence; at each position only rules starting with its
+        rank, below the best match, are tried."""
+        hit, best, starts = None, len(self.rules), self.starts
+        for i, a in enumerate(wr):
+            for ri, r in starts.get(a, ()):
+                if ri >= best:
+                    break
+                lr = r.leading.ranks
+                if wr[i : i + len(lr)] == lr:
+                    hit, best = (ri, r, i), ri
+                    break
+        return hit
 
 
 def _ambiguity_key(m):
@@ -109,10 +163,8 @@ def find_ambiguities(rules, max_deg):
         raise ValueError("max_deg must be at least 1")
     for r in rules:
         _check_same_alphabet(rules[0].leading, r.leading)
-    ambs = []
-    for fi, f in enumerate(rules):
-        for gi, g in enumerate(rules):
-            ambs.extend(_pair_ambiguities(fi, f, gi, g, max_deg))
+    index = _RuleIndex(rules)
+    ambs = [m for fi in range(len(rules)) for m in index.as_first(fi, max_deg)]
     ambs.sort(key=_ambiguity_key)
     return ambs
 
@@ -122,8 +174,7 @@ def composition(amb):
     the witness: the difference of the normal s-words of f and g at their
     two occurrences in it.  For an inclusion the first is f.body."""
     # every ambiguity is checked here, hand-made or found for is_gsb and
-    # complete, so an intersection witness of _pair_ambiguities is
-    # checked once
+    # complete, so an intersection witness of _site is checked once
     w, p, fr, gr = amb.w.ranks, amb.position, amb.f.leading.ranks, amb.g.leading.ranks
     _check_same_alphabet(amb.w, amb.f.leading)
     _check_same_alphabet(amb.w, amb.g.leading)
@@ -182,22 +233,6 @@ def _rewrite(h, find):
     return steps, h._make(h.alphabet, done, den)
 
 
-def _first_site(rules):
-    """``_rewrite``'s find modulo a rule list, read at each call: the
-    lowest-index rule that occurs in the word, at its leftmost occurrence."""
-
-    def find(wr):
-        for ri, r in enumerate(rules):
-            lr = r.leading.ranks
-            k = len(lr)
-            for i in range(len(wr) - k + 1):
-                if wr[i : i + k] == lr:
-                    return ri, r, i
-        return None
-
-    return find
-
-
 def reduce(h, rules, bound=None):
     """Rewrite h modulo the rules until no word of the remainder contains a
     rule's leading word; the lowest-index matching rule of the greatest
@@ -205,7 +240,7 @@ def reduce(h, rules, bound=None):
     With a bound, the first step, which is the greatest, must be below it."""
     for w in [r.leading for r in rules] + ([] if bound is None else [bound]):
         _check_same_alphabet(h, w)
-    raw, remainder = _rewrite(h, _first_site(rules))
+    raw, remainder = _rewrite(h, _RuleIndex(rules).find)
     steps = [ReductionStep(i, r, Word(h.alphabet, w), p, _exact(n, d)) for i, r, w, p, n, d in raw]
     if bound is not None and steps and deglex_key(steps[0].word) >= deglex_key(bound):
         raise ValueError(f"reduction step at {steps[0].word} is not below the bound {bound}")
@@ -230,7 +265,7 @@ def is_gsb(rules, max_deg):
     passes when all compositions reduce to zero below their witness."""
     failures = []
     ambs = find_ambiguities(rules, max_deg)
-    find = _first_site(rules)
+    find = _RuleIndex(rules).find
     for amb in ambs:
         _, rem = _rewrite(composition(amb), find)
         if not rem.is_zero():
@@ -270,21 +305,17 @@ def complete(rules, max_deg):
     The least ambiguity with a non-zero remainder is thus always the one a
     full recheck finds, and the output is the same rule list.
     """
-    current = list(rules)
+    index = _RuleIndex(rules)
     # sorted by key; keys are unique, so ambiguities are never compared
-    queue = [(_ambiguity_key(m), m) for m in find_ambiguities(current, max_deg)]
-    find = _first_site(current)
+    queue = [(_ambiguity_key(m), m) for m in find_ambiguities(index.rules, max_deg)]
     while queue:
         _, amb = queue.pop(0)
-        _, rem = _rewrite(composition(amb), find)
+        _, rem = _rewrite(composition(amb), index.find)
         if rem.is_zero():
             continue
-        ni, new = len(current), Rule.monic(rem)
-        current.append(new)
-        for gi, g in enumerate(current):
-            fresh = _pair_ambiguities(ni, new, gi, g, max_deg)
-            if gi != ni:
-                fresh += _pair_ambiguities(gi, g, ni, new, max_deg)
-            for m in fresh:
-                bisect.insort(queue, (_ambiguity_key(m), m))
-    return current
+        new = Rule.monic(rem)
+        fresh = index.as_second(new, max_deg)
+        index.add(new)
+        for m in fresh + index.as_first(len(index.rules) - 1, max_deg):
+            bisect.insort(queue, (_ambiguity_key(m), m))
+    return index.rules

@@ -259,12 +259,13 @@ def _pattern_rule(alphabet, ranks):
     return Rule(LiePoly._make(alphabet, {ranks: 1}))
 
 
-def _least_pattern(graph, ranks):
+def _least_pattern(graph, made, ranks):
     """The rewrite site for ``gsb._rewrite`` of the word with rank tuple
     ranks: the deg-lex smallest pattern factor, then its leftmost
     occurrence, or None when the word is pattern-free.  In the deg-lex
     order of ``generate_relations`` this is the lowest-index rule at its
-    leftmost occurrence, as in ``gsb.reduce``."""
+    leftmost occurrence, as in ``gsb.reduce``.  ``made`` keeps the rule of
+    each pattern met, by rank tuple."""
     span = min(
         _pattern_spans(graph, ranks),
         key=lambda ij: (ij[1] - ij[0], ranks[ij[0] : ij[1]], ij[0]),
@@ -273,7 +274,10 @@ def _least_pattern(graph, ranks):
     if span is None:
         return None
     i, j = span
-    return None, _pattern_rule(graph.alphabet, ranks[i:j]), i
+    pattern = ranks[i:j]
+    if pattern not in made:
+        made[pattern] = _pattern_rule(graph.alphabet, pattern)
+    return None, made[pattern], i
 
 
 def pc_normal_form(p, graph):
@@ -283,14 +287,14 @@ def pc_normal_form(p, graph):
     rewrite loop of ``gsb.reduce``: rewrites the deg-lex greatest
     reducible basis word, choosing the deg-lex smallest pattern factor and
     then the leftmost occurrence; rules are built on demand from the
-    occurring patterns only.  The result is supported on the
+    occurring patterns only, once each.  The result is supported on the
     pattern-free basis words.
     """
     if isinstance(p, LieTree):
         p = tree_value(p)
     if p.alphabet != graph.alphabet:
         raise ValueError("polynomial and graph use different alphabets")
-    return gsb._rewrite(p, partial(_least_pattern, graph))[1]
+    return gsb._rewrite(p, partial(_least_pattern, graph, {}))[1]
 
 
 def verify_relations(graph, max_deg):

@@ -9,7 +9,9 @@ plain restart-from-scratch loop over the library's own compositions and
 reduction, against which the incremental queue in ``complete`` is checked.
 Ambiguities are read off candidate witnesses, the words that pass
 ``is_alsw_by_splits`` and start with one leading word
-(``ambiguities_by_definition``), not off overlaps of two leading words.
+(``ambiguities_by_definition``), not off overlaps of two leading words,
+and rewrite sites by trying every rule at every position of the word
+(``first_site_by_scan``), not through the engine's rule index.
 Pattern-free basis words are found by screening a word list against the
 definition of the patterns, read off the graph's edges with rank
 comparisons only.  The list comes from ``_mirrored_lyndon_ranks``, the
@@ -182,30 +184,34 @@ def normal_s_word_by_expansion(w, s, position):
     return nlsw_decompose(expand_with(special_bracket(occ), s.body.to_assoc()))
 
 
+def first_site_by_scan(rules, ranks):
+    """The rewrite site of the word with this rank tuple modulo a rule
+    list, by trying every rule in index order at every position: the
+    lowest-index rule that occurs, at its leftmost occurrence, as
+    (rule index, rule, position), or None."""
+    for ri, r in enumerate(rules):
+        lr = r.leading.ranks
+        for i in range(len(ranks) - len(lr) + 1):
+            if ranks[i : i + len(lr)] == lr:
+                return ri, r, i
+    return None
+
+
 def reduce_by_fractions(h, rules):
     """Reduction modulo a rule list on plain dicts from word to Fraction:
     rewrite the deg-lex greatest word that holds a rule's leading word,
-    with the lowest-index such rule at its leftmost occurrence, by
-    subtracting its coefficient times ``normal_s_word_by_expansion``.
-    Returns the steps, as (rule index, word, position, coefficient), and
-    the remainder dict."""
+    at ``first_site_by_scan``, by subtracting its coefficient times
+    ``normal_s_word_by_expansion``.  Returns the steps, as (rule index,
+    word, position, coefficient), and the remainder dict."""
     work = {w: Fraction(c) for w, c in h.terms.items()}
     steps, remainder = [], {}
     while work:
         w = max(work, key=deglex_key)
-        site = next(
-            (
-                (ri, p)
-                for ri, r in enumerate(rules)
-                for p in range(len(w) - len(r.leading) + 1)
-                if w[p : p + len(r.leading)] == r.leading
-            ),
-            None,
-        )
+        site = first_site_by_scan(rules, w.ranks)
         if site is None:
             remainder[w] = work.pop(w)
             continue
-        ri, p = site
+        ri, _, p = site
         c = work[w]
         steps.append((ri, w, p, c))
         for u, a in normal_s_word_by_expansion(w, rules[ri], p).terms.items():
@@ -379,8 +385,18 @@ def ambiguities_by_definition(rules, max_deg):
     if not rules:
         return out
     alphabet = rules[0].leading.alphabet
+    k = len(alphabet.letters)
     for n in range(1, max_deg + 1):
-        for w in filter(is_alsw_by_splits, all_words(alphabet, n)):
+        # the words of length n that start with a leading word, in order
+        heads = sorted(
+            {
+                f.leading.ranks + tail
+                for f in rules
+                if len(f.leading) <= n
+                for tail in itertools.product(range(k), repeat=n - len(f.leading))
+            }
+        )
+        for w in filter(is_alsw_by_splits, (Word(alphabet, r) for r in heads)):
             for fi, f in enumerate(rules):
                 fr = f.leading.ranks
                 if w.ranks[: len(fr)] != fr:

@@ -257,6 +257,19 @@ def test_reference_outputs_keep_their_digests(capsys, theta, argv, digest):
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
 
 
+STAR_RULES = "x > y > z > w\n(x y)\n(z y)\n(w y)\n"
+
+
+def test_a_completion_to_hundreds_of_rules_keeps_its_digest(capsys, theta):
+    # the reference digests are on a sparse graph; this completion grows
+    # from 3 to 257 rules, each new one paired with all before it
+    path = theta("star.rules", STAR_RULES)
+    code, out, err = run(capsys, "complete", "--rules", path, "--format", "json", "--max-deg", "9")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rules"]) == 257
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == "fcb5087642fd3b951e4ed6d7d994d931"
+
+
 def test_basis_dims_only(capsys, theta):
     path = theta("star3.theta", STAR3)
     code, out, _ = run(

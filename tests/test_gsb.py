@@ -8,6 +8,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclie import (
     Alphabet,
@@ -30,12 +31,14 @@ from pclie import (
     normal_s_word,
     reduce,
 )
+from pclie.gsb import _RuleIndex
 from pclie.quotient import CommGraph, generate_relations, graded_dimensions, pc_normal_form
 
 from oracles import (
     SpanReducer,
     ambiguities_by_definition,
     complete_by_restart,
+    first_site_by_scan,
     is_alsw_by_rotations,
     normal_s_word_by_expansion,
     reduce_by_fractions,
@@ -76,15 +79,27 @@ def test_find_ambiguities_respects_bound_and_order():
     assert all(len(a.w) <= 4 for a in find_ambiguities(rules, 4))
 
 
+def star_completion():
+    """The completion at degree 9 of (x y), (z y) and (w y) over
+    x > y > z > w, which grows to 257 rules."""
+    letter = {c: LiePoly.letter(A4, c) for c in "xyzw"}
+    rules = [Rule.monic(lie_bracket(letter[a], letter[b])) for a, b in ("xy", "zy", "wy")]
+    return complete(rules, 9)
+
+
 def ambiguity_cases():
     """(rules, max_deg) inputs of the ambiguity checks: the relations of
-    all 8 graphs on x > y > z, and seeded random rule sets over x > y > z
-    in which two rules share a leading word."""
+    all 8 graphs on x > y > z and of the complete graph on x > y > z > w,
+    whose leading words share their first ranks most, the star completion,
+    and seeded random rule sets over x > y > z in which two rules share a
+    leading word."""
     cases = [
         (generate_relations(CommGraph(A3, edges), 6), 6)
         for k in range(4)
         for edges in itertools.combinations([("x", "y"), ("x", "z"), ("y", "z")], k)
     ]
+    cases.append((generate_relations(CommGraph(A4, itertools.combinations("xyzw", 2)), 7), 7))
+    cases.append((star_completion(), 9))
     rng = random.Random(67)
     alsw = enumerate_alsw(A3, 4)
     words = [w for w in alsw if len(w) >= 2]
@@ -110,6 +125,40 @@ def test_find_ambiguities_matches_the_definition():
             seen[m.kind] += 1
             seen["shared leading word"] += m.f_index != m.g_index and m.f.leading == m.g.leading
     assert min(seen.values()) >= 40 and seen["intersection"] > 100, seen
+
+
+def test_an_empty_rule_list_has_no_ambiguity_and_stays_complete():
+    assert find_ambiguities([], 5) == []
+    assert complete([], 5) == []
+    assert is_gsb([], 5).ok
+    h = LiePoly.basis(A3.word("xy"))
+    assert reduce(h, []) == (h, [], h)
+
+
+@st.composite
+def rule_lists_and_words(draw):
+    """A rule list over x > y > z in random order, with xy, xz, xzy and
+    xxy planted: rules sharing their first rank, and xy inside xxy; and a
+    word glued from leading words and letters, so that a rule often occurs
+    at several positions."""
+    planted = [A3.word(t) for t in ("xy", "xz", "xzy", "xxy")]
+    extra = draw(st.lists(st.sampled_from(enumerate_alsw(A3, 4)), max_size=5))
+    leads = draw(st.permutations(planted + extra))
+    pieces = draw(st.lists(st.sampled_from(leads + [A3.word(c) for c in "xyz"]), max_size=8))
+    return [Rule(LiePoly.basis(w)) for w in leads], sum((w.ranks for w in pieces), ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rule_lists_and_words())
+def test_the_rule_index_finds_the_site_of_the_scan(case):
+    # the lowest-index rule, then its leftmost occurrence, also when the
+    # rules are appended one by one, as completion does
+    rules, ranks = case
+    grown = _RuleIndex(rules[:1])
+    for r in rules[1:]:
+        grown.add(r)
+    expected = first_site_by_scan(rules, ranks)
+    assert _RuleIndex(rules).find(ranks) == grown.find(ranks) == expected
 
 
 def test_overlapping_lyndon_shirshov_words_glue_into_one():

@@ -19,6 +19,7 @@ from pclie import (
     nlsw_decompose,
 )
 from pclie.gsb import ReductionStep, ReductionTrace, _rewrite, reduce
+from pclie import quotient
 from pclie.lie import _Poly
 from pclie.quotient import (
     CommGraph,
@@ -362,7 +363,7 @@ def test_pc_normal_form_is_reduce_modulo_the_relations():
             p = LiePoly(A4, {w: rng.randint(-4, 4) for w in rng.sample(words, 3)})
             if p.is_zero():
                 continue
-            raw, remainder = _rewrite(p, functools.partial(_least_pattern, g))
+            raw, remainder = _rewrite(p, functools.partial(_least_pattern, g, {}))
             tr = ReductionTrace(
                 p,
                 [
@@ -379,6 +380,25 @@ def test_pc_normal_form_is_reduce_modulo_the_relations():
             cases += 1
             steps += len(tr.steps)
     assert cases >= 350 and steps >= 800
+
+
+def test_a_normal_form_builds_one_rule_per_pattern(monkeypatch):
+    # a pattern rewritten at several steps of one normal form is one Rule
+    rng = random.Random(89)
+    words = enumerate_alsw(A4, 6)
+    real, built = quotient._pattern_rule, []
+    monkeypatch.setattr(
+        quotient, "_pattern_rule", lambda a, ranks: built.append(ranks) or real(a, ranks)
+    )
+    repeats = 0
+    for g in all_graphs(A4, PAIRS4):
+        p = LiePoly(A4, {w: rng.randint(1, 4) for w in rng.sample(words, 3)})
+        steps = reduce(p, generate_relations(g, 6)).steps if g.edges else []
+        built.clear()
+        pc_normal_form(p, g)
+        assert sorted(built) == sorted({st.rule.leading.ranks for st in steps})
+        repeats += len(steps) - len(built)
+    assert repeats >= 40
 
 
 def test_relations_and_normal_forms_check_no_word_again(monkeypatch):
