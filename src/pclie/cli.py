@@ -13,6 +13,12 @@ or a word per listed element; each word is read off its tree's text.
 Each call builds only the output that its ``--format`` prints: a
 subcommand hands ``_emit`` its text lines and its JSON record as two
 builders, and ``_emit``, the one reader of ``--format``, calls one.
+
+Expressions and rule lines are evaluated while they are parsed
+(``expr._parse_value``), with no tree, word or Fraction on the way, and
+a polynomial's printed terms are read off its integers
+(``_Poly._deglex_texts``), rendered once whether ``nf`` prints them as
+JSON terms, as text, or both.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import functools
 import json
 import sys
 
-from .expr import parse_expr
+from .expr import _parse_value
 from .gsb import complete, is_gsb
 from .lie import bracket
 from .quotient import (
@@ -34,15 +40,18 @@ from .quotient import (
     graded_dimensions,
     pc_normal_form,
 )
-# irr_basis is not called here (basis prints basis_texts), but
-# perfbench/layers.py wraps this binding
+# parse_expr and irr_basis are not called here (expressions are read by
+# _parse_value, basis prints basis_texts), but perfbench/layers.py wraps
+# these bindings
+from .expr import parse_expr  # noqa: F401
 from .quotient import irr_basis  # noqa: F401
 from .rules import Rule
 from .words import Alphabet, _read_decl_file, enumerate_alsw, is_alsw, lyndon_factorize
 
 
-def _poly_json(p):
-    return [{"word": str(w), "coeff": str(c)} for w, c in p.items_deglex()]
+def _poly_json(terms):
+    """The JSON terms of a polynomial from its ``_deglex_texts`` pairs."""
+    return [{"word": w, "coeff": c} for w, c in terms]
 
 
 def _load_graph(path):
@@ -51,7 +60,7 @@ def _load_graph(path):
 
 
 def _read_rule(alphabet, line):
-    poly = parse_expr(line, alphabet).to_lie_poly()
+    poly = _parse_value(line, alphabet)
     if poly.is_zero():
         raise ValueError("rule is zero")
     return Rule.monic(poly)
@@ -120,17 +129,17 @@ def cmd_bracket(args):
 
 def cmd_nf(args):
     graph = _load_graph(args.theta)
-    poly = parse_expr(args.expr, graph.alphabet).to_lie_poly()
-    nf = pc_normal_form(poly, graph)
-    _emit(
-        args,
-        lambda: [str(nf)],
-        lambda: {
+    nf = pc_normal_form(_parse_value(args.expr, graph.alphabet), graph)
+
+    def record():
+        terms = nf._deglex_texts()
+        return {
             "expr": args.expr,
-            "normal_form": _poly_json(nf),
-            "normal_form_text": str(nf),
-        },
-    )
+            "normal_form": _poly_json(terms),
+            "normal_form_text": nf._text(terms),
+        }
+
+    _emit(args, lambda: [str(nf)], record)
     return 0
 
 
@@ -155,7 +164,7 @@ def cmd_verify(args):
                     "w": str(amb.w),
                     "f": str(amb.f.body),
                     "g": str(amb.g.body),
-                    "remainder": _poly_json(rem),
+                    "remainder": _poly_json(rem._deglex_texts()),
                 }
                 for amb, rem in report.failures
             ],
@@ -220,7 +229,7 @@ def cmd_complete(args):
             "max_deg": args.max_deg,
             "input_rules": len(rules),
             "rules": [
-                {"leading": str(r.leading), "body": _poly_json(r.body)}
+                {"leading": str(r.leading), "body": _poly_json(r.body._deglex_texts())}
                 for r in closed
             ],
         },

@@ -9,6 +9,15 @@ Grammar (whitespace insensitive):
 
 Applications are explicitly binary; there is no compact bracket input
 form.  The zero element is written as a zero coefficient, e.g. "0*x".
+
+One parser reads the grammar, folded by a ``leaf`` and a ``pair``
+callback.  ``parse_expr`` folds into ``LieTree``s and returns them in an
+``ExprAst``; ``_parse_value``, which the CLI reads its expressions and
+rules with, folds into integer term dicts, bracketing in the
+Lyndon-Shirshov basis as it reads, and builds one ``LiePoly`` with no
+tree, word or Fraction on the way.  The parser reads the token texts of
+one regular-expression pass; a token's position is looked up only for an
+error message.
 """
 
 from __future__ import annotations
@@ -16,16 +25,18 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
-from .lie import LiePoly, LieTree, tree_value
-from .words import LETTER_NAME
+from .lie import LiePoly, LieTree, _axpy, _bracket_terms, tree_value
+from .words import LETTER_NAME, Word
 # expand and nlsw_decompose are not called here (to_lie_poly brackets in the
 # Lyndon-Shirshov basis), but perfbench/layers.py wraps these bindings
 from .lie import expand, nlsw_decompose  # noqa: F401
 
-_TOKEN = re.compile(
-    rf"\s*(?:(?P<int>[0-9]+)|(?P<sym>{LETTER_NAME})|(?P<op>[()+\-*/])|(?P<bad>\S))"
-)
+# group 1 is a token's text; a character that starts no token, whitespace
+# aside, matches outside it
+_TOKEN = re.compile(rf"([0-9]+|{LETTER_NAME}|[()+\-*/])|\S")
+_OPERATORS = frozenset("()+-*/")
 
 
 class ParseError(ValueError):
@@ -37,12 +48,15 @@ class ParseError(ValueError):
 
 
 def _tokenize(text):
+    """The (kind, text, position) of each token, kind "int", "sym" or the
+    operator itself, then ("end", "", len(text))."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        tokens.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        kind = tok if tok in _OPERATORS else "int" if tok.isdigit() else "sym"
+        tokens.append((kind, tok, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -61,81 +75,117 @@ class ExprAst(namedtuple("ExprAst", "alphabet parts")):
 
 
 class _Parser:
-    def __init__(self, text, alphabet):
-        self.tokens = _tokenize(text)
+    """Recursive descent over the token texts, "" marking the end, folded
+    by two callbacks: ``leaf(rank)`` is the value of a letter and
+    ``pair(left, right)`` the value of a bracket of two values."""
+
+    def __init__(self, text, alphabet, leaf, pair):
+        tokens = _TOKEN.findall(text)
+        if "" in tokens:
+            _tokenize(text)  # raises at the first character that starts no token
+        tokens.append("")
+        self.text = text
+        self.tokens = tokens
         self.pos = 0
-        self.alphabet = alphabet
+        self.rank = alphabet._rank
+        self.leaf = leaf
+        self.pair = pair
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, index):
+        """The ParseError at token ``index``, placed by ``_tokenize``."""
+        return ParseError(message, _tokenize(self.text)[index][2])
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.take()
-        if tok[0] != kind:
-            place = "end of input" if tok[0] == "end" else repr(tok[1])
-            raise ParseError(f"expected {what}, found {place}", tok[2])
+    def take(self, ok, what):
+        """The next token, which ``ok`` must accept, else an error naming
+        ``what`` was expected."""
+        i = self.pos
+        tok = self.tokens[i]
+        self.pos = i + 1
+        if not ok(tok):
+            place = repr(tok) if tok else "end of input"
+            raise self.error(f"expected {what}, found {place}", i)
         return tok
 
     def parse(self):
+        """The (numerator, denominator, value) of each signed term, in
+        source order; the denominator is None where none is written."""
+        tokens = self.tokens
         parts = [self.term()]
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            c, tree = self.term()
-            parts.append((c if op == "+" else -c, tree))
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return ExprAst(self.alphabet, tuple(parts))
+        while (op := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            n, d, value = self.term()
+            parts.append((n if op == "+" else -n, d, value))
+        if tokens[self.pos]:
+            raise self.error(f"unexpected {tokens[self.pos]!r}", self.pos)
+        return parts
 
     def term(self):
-        coeff = 1
-        kind = self.peek()[0]
-        if kind == "int" or kind == "-":
-            coeff = self.rational()
-            self.expect("*", "'*' between coefficient and factor")
-        return coeff, self.factor()
+        n, d = 1, None
+        tok = self.tokens[self.pos]
+        if tok == "-" or tok.isdigit():
+            n, d = self.rational()
+            self.take("*".__eq__, "'*' between coefficient and factor")
+        return n, d, self.factor()
 
     def rational(self):
         sign = 1
-        if self.peek()[0] == "-":
-            self.take()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             sign = -1
         value, _ = self.integer("an integer")
-        if self.peek()[0] == "/":
-            self.take()
-            den, position = self.integer("a positive denominator")
+        if self.tokens[self.pos] == "/":
+            self.pos += 1
+            den, index = self.integer("a positive denominator")
             if den == 0:
-                raise ParseError("malformed rational: zero denominator", position)
-            return Fraction(sign * value, den)
-        return sign * value
+                raise self.error("malformed rational: zero denominator", index)
+            return sign * value, den
+        return sign * value, None
 
     def integer(self, what):
-        _, digits, position = self.expect("int", what)
+        index = self.pos
+        digits = self.take(str.isdigit, what)
         try:
-            return int(digits), position
+            return int(digits), index
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise ParseError(f"integer too long: {exc}", position) from None
+            raise self.error(f"integer too long: {exc}", index) from None
 
     def factor(self):
-        tok = self.take()
-        if tok[0] == "sym":
-            if tok[1] not in self.alphabet:
-                raise ParseError(f"unknown symbol {tok[1]!r}", tok[2])
-            return LieTree.leaf(self.alphabet, tok[1])
-        if tok[0] == "(":
+        i = self.pos
+        tok = self.tokens[i]
+        self.pos = i + 1
+        rank = self.rank.get(tok)
+        if rank is not None:
+            return self.leaf(rank)
+        if tok == "(":
             left = self.factor()
             right = self.factor()
-            self.expect(")", "')'")
-            return LieTree.pair(left, right)
-        place = "end of input" if tok[0] == "end" else repr(tok[1])
-        raise ParseError(f"expected a symbol or '(', found {place}", tok[2])
+            self.take(")".__eq__, "')'")
+            return self.pair(left, right)
+        if tok and tok not in _OPERATORS and not tok.isdigit():
+            raise self.error(f"unknown symbol {tok!r}", i)
+        place = repr(tok) if tok else "end of input"
+        raise self.error(f"expected a symbol or '(', found {place}", i)
 
 
 def parse_expr(text, alphabet):
     """Parse an expression over the given alphabet."""
-    return _Parser(text, alphabet).parse()
+    parts = _Parser(
+        text, alphabet, lambda r: LieTree(Word(alphabet, (r,))), LieTree.pair
+    ).parse()
+    return ExprAst(
+        alphabet, tuple((n if d is None else Fraction(n, d), t) for n, d, t in parts)
+    )
+
+
+def _parse_value(text, alphabet):
+    """The Lie element an expression denotes, read without a tree: each
+    term folds into its integer term dict, and the signed terms are summed
+    as numerators over the lcm of their denominators.  It equals
+    ``parse_expr(text, alphabet).to_lie_poly()`` and raises the same
+    errors."""
+    parts = _Parser(text, alphabet, lambda r: {(r,): 1}, _bracket_terms).parse()
+    den = lcm(*[d for _, d, _ in parts if d])
+    num = {}
+    for n, d, terms in parts:
+        _axpy(num, n * (den // d) if d else n * den, terms)
+    return LiePoly._make(alphabet, num, den)

@@ -161,7 +161,8 @@ class _Poly:
     The constructor checks outside input, each word with ``_check_word``;
     a result computed from checked words skips it (``_make``).  Words and
     exact coefficients are built only at the API (``terms``, ``leading``,
-    ``items_deglex``).  ``_term`` renders a word."""
+    ``items_deglex``); the printed forms read the integers directly
+    (``_deglex_texts``).  ``_term`` renders a word."""
 
     __slots__ = ("alphabet", "_num", "_den")
     _term = "{}"
@@ -277,19 +278,34 @@ class _Poly:
             and self._num == other._num
         )
 
-    def __str__(self):
-        if not self._num:
+    def _deglex_texts(self):
+        """The terms as (word text, coefficient text) pairs, leading term
+        first, read off the rank tuples and integers: each coefficient in
+        its own lowest terms, as 'n/d' or 'n'."""
+        spell, num, den = self.alphabet._spell, self._num, self._den
+        out = []
+        for _, r in sorted(zip(map(len, num), num), reverse=True):
+            n = num[r]
+            g = gcd(n, den)
+            out.append((spell(r), str(n // g) if g == den else f"{n // g}/{den // g}"))
+        return out
+
+    def _text(self, terms):
+        """The printed sum of the ``_deglex_texts`` pairs: a sign between
+        terms, a magnitude 1 left out, and "0" for no term."""
+        if not terms:
             return "0"
         parts = []
-        for w, c in self.items_deglex():
-            mag = abs(c)
-            term = self._term.format(w)
-            body = term if mag == 1 else f"{mag} {term}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'+' if c > 0 else '-'} {body}")
+        for w, c in terms:
+            sign, mag = ("-", c[1:]) if c[0] == "-" else ("+", c)
+            body = self._term.format(w)
+            if mag != "1":
+                body = f"{mag} {body}"
+            parts.append(f" {sign} {body}" if parts else body if sign == "+" else f"-{body}")
         return "".join(parts)
+
+    def __str__(self):
+        return self._text(self._deglex_texts())
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -83,6 +83,12 @@ class Alphabet:
                 )
         return Word(self, tuple(ranks))
 
+    def _spell(self, ranks):
+        """The text of a word: its letters, joined by spaces unless every
+        letter is one character."""
+        letters = self.letters
+        return ("" if self._compact else " ").join([letters[r] for r in ranks])
+
     def empty_word(self):
         return Word(self, ())
 
@@ -184,9 +190,7 @@ class Word:
         return hash(self.ranks)
 
     def __str__(self):
-        letters = self.alphabet.letters
-        sep = "" if self.alphabet._compact else " "
-        return sep.join([letters[r] for r in self.ranks])
+        return self.alphabet._spell(self.ranks)
 
     def __repr__(self):
         return f"Word({str(self)!r})"

@@ -38,7 +38,9 @@ with ``nlsw_decompose`` (``lie_bracket_by_expansion``,
 folded over its recorded siblings).
 
 The expression tokenizer is checked against a reading of its input one
-character at a time (``tokenize_by_characters``).
+character at a time (``tokenize_by_characters``).  The CLI's JSON terms,
+read off a polynomial's integers, are checked against its words and
+exact Fractions (``poly_json_by_fractions``).
 """
 
 import itertools
@@ -549,3 +551,9 @@ def tokenize_by_characters(text):
             raise ParseError(f"unexpected character {ch!r}", start)
     tokens.append(("end", "", n))
     return tokens
+
+
+def poly_json_by_fractions(p):
+    """The JSON terms of a polynomial from its Words and exact coefficients
+    (``items_deglex``): word text and coefficient text, leading term first."""
+    return [{"word": str(w), "coeff": str(c)} for w, c in p.items_deglex()]

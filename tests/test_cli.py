@@ -4,8 +4,12 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pclie.cli import build_parser, main
+from pclie import Alphabet, LiePoly, enumerate_alsw
+from pclie.cli import _poly_json, build_parser, main
+
+from oracles import poly_json_by_fractions
 
 STAR3 = "x > y > z\nx y\nx z\n"
 ABELIAN2 = "x > y\nx y\n"
@@ -268,6 +272,56 @@ def test_a_completion_to_hundreds_of_rules_keeps_its_digest(capsys, theta):
     assert (code, err) == (0, "")
     assert len(json.loads(out)["rules"]) == 257
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == "fcb5087642fd3b951e4ed6d7d994d931"
+
+
+RATIONAL_RULES = (
+    "ab > c > d\n"
+    "-1/7*(ab (ab d)) + 3/2*((ab c) c) - 2/3*(c (c d))\n"
+    "-3/2*(c ab) - 15/4*(ab d)\n"
+    "-2*(ab (ab d)) + 18/2*((ab d) d) - 3*(ab (c d))\n"
+)
+RATIONAL_EXPR = (
+    "3/2*((x w) (y w)) - 2/3*(x (y w)) + 5/4*((w x) y) - 7/6*((y w) ((w x) z))"
+    " + 2/4*(x (z (y w))) - 9/6*((x w) w) + 1/3*(((x w) w) (y w))"
+)
+
+
+@pytest.mark.parametrize(
+    "command, name, text, argv, digest",
+    [
+        # rational rules over a letter of two characters, a rule written
+        # against the letter order and unreduced coefficients; the 8 rules of
+        # the completion carry coefficients of up to 25 digits
+        (
+            "complete", "rational.rules", RATIONAL_RULES, ["--max-deg", "6"],
+            "3902b29e2dcfdd65d15b14cd11df8529",
+        ),
+        (
+            "nf", "reference.theta", REFERENCE, ["--expr", RATIONAL_EXPR],
+            "1c47d9ea460e33a6c57ae7c89ae2774c",
+        ),
+    ],
+)
+def test_rational_outputs_keep_their_digests(capsys, theta, command, name, text, argv, digest):
+    flag = "--rules" if command == "complete" else "--theta"
+    code, out, err = run(capsys, command, flag, theta(name, text), *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([Alphabet.from_decl("x > y > z"), Alphabet.from_decl("ab > c > d")]),
+    st.data(),
+)
+def test_json_terms_match_the_fraction_oracle(alphabet, data):
+    # numerators over one drawn denominator, so a term's fraction is often
+    # not in lowest terms (2/4 and 3/4 print as 1/2 and 3/4); negative and
+    # integral coefficients too, and words joined by spaces over ab > c > d
+    words = data.draw(st.lists(st.sampled_from(enumerate_alsw(alphabet, 4)), max_size=5, unique=True))
+    num = {w.ranks: data.draw(st.integers(-12, 12).filter(bool)) for w in words}
+    p = LiePoly._make(alphabet, num, data.draw(st.sampled_from([1, 2, 3, 4, 6, 12])))
+    assert _poly_json(p._deglex_texts()) == poly_json_by_fractions(p)
 
 
 def test_basis_dims_only(capsys, theta):

@@ -12,12 +12,13 @@ from pclie import (
     enumerate_alsw,
     parse_expr,
 )
-from pclie.expr import _tokenize
+from pclie.expr import _parse_value, _tokenize
 
 from oracles import tokenize_by_characters
 
 A2 = Alphabet.from_decl("x > y")
 A3 = Alphabet.from_decl("x > y > z")
+AB = Alphabet.from_decl("ab > c > d")
 
 
 def test_single_monomial():
@@ -106,3 +107,86 @@ def test_tokens_match_a_character_by_character_reading(text):
         assert (str(e.value), e.value.position) == (str(exc), exc.position)
     else:
         assert _tokenize(text) == expected
+
+
+@st.composite
+def factor_tokens(draw, alphabet, depth=3):
+    """The tokens of a random bracketing, canonical or not, of up to 2**depth
+    letters."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return [draw(st.sampled_from(alphabet.letters))]
+    left = draw(factor_tokens(alphabet, depth - 1))
+    return ["(", *left, *draw(factor_tokens(alphabet, depth - 1)), ")"]
+
+
+@st.composite
+def coefficient_tokens(draw):
+    """No coefficient, or a signed integer or rational written with '*':
+    zero, negative, and over a denominator it shares a factor with."""
+    if draw(st.booleans()):
+        return []
+    sign = ["-"] if draw(st.booleans()) else []
+    n = str(draw(st.integers(0, 12)))
+    d = draw(st.sampled_from([None, 1, 2, 4, 6, 9]))
+    return [*sign, n, *(["/", str(d)] if d else []), "*"]
+
+
+@st.composite
+def expressions(draw):
+    """An alphabet and the tokens of a valid expression of 1-4 signed terms."""
+    alphabet = draw(st.sampled_from([A3, AB]))
+    tokens = []
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            tokens.append(draw(st.sampled_from("+-")))
+        tokens += draw(coefficient_tokens()) + draw(factor_tokens(alphabet))
+    return alphabet, tokens
+
+
+@st.composite
+def spaced(draw, tokens):
+    """The tokens joined by drawn whitespace, at least one space between two
+    tokens that would otherwise read as one."""
+    out = tokens[0]
+    for prev, tok in zip(tokens, tokens[1:]):
+        gap = draw(st.sampled_from(["", "", " ", "  ", "\t", "\n "]))
+        if not gap and prev[-1].isalnum() and tok[0].isalnum():
+            gap = " "
+        out += gap + tok
+    return draw(st.sampled_from(["", " ", "\t"])) + out + draw(st.sampled_from(["", " "]))
+
+
+def outcome(read, text, alphabet):
+    try:
+        return read(text, alphabet)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def tree_fold(text, alphabet):
+    return parse_expr(text, alphabet).to_lie_poly()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_value_fold_equals_the_tree_fold(data):
+    alphabet, tokens = data.draw(expressions())
+    text = data.draw(spaced(tokens))
+    assert _parse_value(text, alphabet) == tree_fold(text, alphabet)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_both_folds_refuse_a_token_dropped_or_inserted_alike(data):
+    # most edits break the grammar, and then both raise the same error at
+    # the same position; an edit that leaves a valid expression (a sign
+    # dropped, a digit inserted in a coefficient) gives equal values
+    alphabet, tokens = data.draw(expressions())
+    i = data.draw(st.integers(0, len(tokens)))
+    if i < len(tokens) and data.draw(st.booleans()):
+        del tokens[i]
+    else:
+        extra = [*alphabet.letters, "q", "a", "0", "7", "(", ")", "+", "-", "*", "/", "?"]
+        tokens.insert(i, data.draw(st.sampled_from(extra)))
+    text = data.draw(spaced(tokens)) if tokens else ""
+    assert outcome(_parse_value, text, alphabet) == outcome(tree_fold, text, alphabet)
